@@ -71,7 +71,6 @@ def cmd_classify(args) -> int:
 
 def cmd_solve(args) -> int:
     started = time.time()
-    random.seed(args.seed)
     text = Path(args.infile).read_text()
     payload: dict = {"input_digest": _digest(text), "solver": args.solver}
     k = args.k
@@ -322,7 +321,6 @@ def main(argv=None) -> int:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("-k", type=int, default=None)
     p.add_argument("--hub", default=None, help="hub vertex for strict-steiner")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=["det", "random"], default="det")
     p.add_argument("--report", choices=["text", "machine"], default="text")
     p.set_defaults(func=cmd_solve)

@@ -320,7 +320,9 @@ def min_vertex_separator(g: CutGraph, s: str, targets: Sequence[str],
     """Minimum set of deletable vertices disconnecting s from the targets,
     or None if no finite separator exists (within the limit, if given).
 
-    With cut_targets the separator may contain deletable target vertices.
+    Of all minimum separators it returns the one closest to s, whose s-side
+    reachable set is minimal.  With cut_targets the separator may contain
+    deletable target vertices.
     """
     targets = [t for t in targets if t != s]
     if not targets:
@@ -338,20 +340,6 @@ def min_vertex_separator(g: CutGraph, s: str, targets: Sequence[str],
     if flow >= _BIG or len(cut) != flow:
         return None
     return cut
-
-
-def closest_min_separator(g: CutGraph, v: str, w_set: Sequence[str],
-                          cut_targets: bool = False) -> frozenset:
-    """The unique minimum v-W separator whose v-side reachable set is minimal.
-
-    Extracted from the residual graph of a maximum flow: take the vertices
-    whose in-copy is residual-reachable from v but whose out-copy is not.
-    Raises when no finite separator exists.
-    """
-    out = min_vertex_separator(g, v, list(w_set), None, cut_targets)
-    if out is None:
-        raise ValueError(f"no finite {v}-{sorted(w_set)} separator")
-    return out
 
 
 def _farthest_min_sep(g: CutGraph, xs: Iterable[str], ys: Iterable[str],

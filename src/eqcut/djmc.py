@@ -21,9 +21,7 @@ from .cutgraph import (
     separates,
     shadow,
 )
-from .solvers import hitting_set_branch
-
-_hub_counter = itertools.count()
+from .solvers import compression_guesses, hitting_set_branch
 
 
 def mu1(lst: RequestList) -> int:
@@ -97,17 +95,14 @@ class ShadowCoverResult:
         return True
 
 
-def shadow_cover(g: CutGraph, t_set: Sequence[str], k: int,
-                 sampler=None) -> Iterator[ShadowCoverResult]:
+def shadow_cover(g: CutGraph, t_set: Sequence[str], k: int
+                 ) -> Iterator[ShadowCoverResult]:
     """Branch stream of shadow-covering sets.
 
-    Deterministic mode enumerates every candidate transversal Y of size at
-    most k and emits the exact shadow of Y, which satisfies the covering
-    contract with certainty.  A sampler hook may replace the enumeration.
+    Enumerates every candidate transversal Y of size at most k and emits
+    the exact shadow of Y, which satisfies the covering contract with
+    certainty.
     """
-    if sampler is not None:
-        yield from sampler(g, t_set, k)
-        return
     candidates = [v for v in g.vertices
                   if g.deletable(v) and v not in set(t_set)]
     for size in range(min(k, len(candidates)) + 1):
@@ -217,45 +212,29 @@ def simplify(g: CutGraph, lists: Sequence[RequestList], k: int,
         return
     mu_in = family_mu(lists)
     nu_in = family_nu(lists)
-    x_list = sorted(compression)
 
-    for w_size in range(min(len(x_list), k) + 1):
-        for w in itertools.combinations(x_list, w_size):
-            w = frozenset(w)
-            g1 = g.without(w)
-            l1 = [l for l in lists if not list_satisfied(g, w, l)]
-            x1 = [v for v in x_list if v not in w]
-            for partition in _partitions_of(x1):
-                hubs = []
-                g2 = g1
-                renaming: dict = {}
-                for cls in partition:
-                    hub = f"#h{next(_hub_counter)}"
-                    hubs.append(hub)
-                    g2 = g2.identify(cls, hub)
-                    for v in cls:
-                        renaming[v] = hub
-                l2 = [_rename_list(l, renaming) for l in l1]
-                g2u = g2.make_undeletable(hubs)
-                m = multiway_cut(g2u, hubs, k) if len(hubs) > 1 else frozenset()
-                if m is None:
+    for w, contractions in compression_guesses(g, sorted(compression), k):
+        l1 = [l for l in lists if not list_satisfied(g, w, l)]
+        for g2, hubs, renaming in contractions:
+            l2 = [_rename_list(l, renaming) for l in l1]
+            m = multiway_cut(g2, hubs, k) if len(hubs) > 1 else frozenset()
+            if m is None:
+                continue
+            g3 = g2.without(m)
+            l3 = [l for l in l2 if not list_satisfied(g2, m, l)]
+            for cover in shadow_cover(g3, hubs, k):
+                try:
+                    new_lists = _apply_rules(g3, l3, hubs, cover.r_set, k)
+                except MeasureViolation:
                     continue
-                g3 = g2.without(m)
-                l3 = [l for l in l2 if not list_satisfied(g2, m, l)]
-                for cover in shadow_cover(g3, hubs, k):
-                    try:
-                        new_lists = _apply_rules(g3, l3, hubs, cover.r_set, k)
-                    except MeasureViolation:
-                        continue
-                    out_lists = tuple(new_lists)
-                    g4 = g3.make_undeletable(hubs)
-                    assert len(g4.vertices) <= len(g.vertices)
-                    assert family_nu(out_lists) <= nu_in
-                    if out_lists:
-                        assert family_mu(out_lists) <= mu_in - 1
-                    assert len(out_lists) <= max(1, k * k) * max(1, len(lists))
-                    yield SimplifyBranch(g4, out_lists, 2 * k,
-                                         frozenset(w | m), renaming)
+                out_lists = tuple(new_lists)
+                assert len(g3.vertices) <= len(g.vertices)
+                assert family_nu(out_lists) <= nu_in
+                if out_lists:
+                    assert family_mu(out_lists) <= mu_in - 1
+                assert len(out_lists) <= max(1, k * k) * max(1, len(lists))
+                yield SimplifyBranch(g3, out_lists, 2 * k,
+                                     frozenset(w | m), renaming)
 
 
 def _rename_list(lst: RequestList, renaming: dict) -> RequestList:
@@ -263,18 +242,6 @@ def _rename_list(lst: RequestList, renaming: dict) -> RequestList:
     for p in lst.pairs:
         pairs.append(frozenset(renaming.get(v, v) for v in p))
     return RequestList(frozenset(pairs))
-
-
-def _partitions_of(items: Sequence) -> Iterator[list[list]]:
-    items = list(items)
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _partitions_of(rest):
-        for i in range(len(part)):
-            yield part[:i] + [part[i] + [first]] + part[i + 1:]
-        yield part + [[first]]
 
 
 def _oracle_compression(g: CutGraph, lists: Sequence[RequestList]

@@ -31,6 +31,7 @@ from .relations import (
     is_strictly_negative,
     is_tautological_clause,
     refines,
+    union_classes,
 )
 
 
@@ -88,27 +89,14 @@ def implement_equality(rel: EqRelation) -> MinCspInstance:
     cl = candidates[0]
     (p, q, _) = next(lit for lit in sorted(cl) if lit[2] == EQ_OP)
     # union-find over the negative literals' index pairs
-    parent = {i: i for i in range(1, rel.arity + 1)}
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for (i, j, op) in cl:
-        if op == NEQ_OP:
-            parent[find(i)] = find(j)
-    if find(p) == find(q):
+    root = union_classes(range(1, rel.arity + 1),
+                         ((i, j) for (i, j, op) in cl if op == NEQ_OP))
+    if root[p] == root[q]:
         raise AssertionError("tautological clause slipped through")
-    var = {}
-    for i in range(1, rel.arity + 1):
-        root = find(i)
-        if root not in var:
-            var[root] = f"v{root}"
-    var[find(p)] = "x1"
-    var[find(q)] = "x2"
-    scope = tuple(var[find(i)] for i in range(1, rel.arity + 1))
+    var = {r: f"v{r}" for r in root.values()}
+    var[root[p]] = "x1"
+    var[root[q]] = "x2"
+    scope = tuple(var[root[i]] for i in range(1, rel.arity + 1))
     gadget = MinCspInstance.build(
         f"impl_eq({rel.name})",
         [soft(rel, *scope)],

@@ -34,6 +34,7 @@ from .relations import (
     is_neq3,
     rneq_relation,
     split_witness,
+    union_classes,
 )
 
 
@@ -346,27 +347,16 @@ def _wheel_unchecked(t: int, variant: str = "weighted",
 def _eq_neq_consistent(inst: MinCspInstance, removed: Sequence[Constraint]) -> bool:
     """Satisfiability of an instance over {=, !=} after removing constraints."""
     removed = list(removed)
-    parent = {v: v for v in inst.variables}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     live = []
     for c in inst.constraints:
         if c in removed:
             removed.remove(c)
             continue
         live.append(c)
-    for c in live:
-        if _is_eq_rel(c.relation):
-            parent[find(c.scope[0])] = find(c.scope[1])
-    for c in live:
-        if _is_neq_rel(c.relation) and find(c.scope[0]) == find(c.scope[1]):
-            return False
-    return True
+    root = union_classes(inst.variables, (c.scope for c in live
+                                          if _is_eq_rel(c.relation)))
+    return not any(_is_neq_rel(c.relation) and root[c.scope[0]] == root[c.scope[1]]
+                   for c in live)
 
 
 @dataclass(frozen=True)

@@ -205,12 +205,17 @@ def assignment_cost(inst: MinCspInstance, assignment: Assignment) -> CostReport:
     return CostReport(cost, tuple(violated))
 
 
-def _partitions(items: Sequence[str]) -> Iterator[list[list[str]]]:
+def set_partitions(items: Sequence) -> Iterator[list[list]]:
+    """Every partition of the items into blocks, Bell(n) in all.
+
+    Each block lists its items last-to-first.  The yielded lists are reused:
+    read a partition before advancing the generator.
+    """
     if not items:
         yield []
         return
     first, rest = items[0], items[1:]
-    for part in _partitions(rest):
+    for part in set_partitions(rest):
         for block in part:
             block.append(first)
             yield part
@@ -257,7 +262,7 @@ def oracle_optimum(inst: MinCspInstance, cap: Optional[int] = None
             assign_wants.setdefault(c.scope[0], set()).add(c.value)
 
     best: tuple[float, Optional[Assignment]] = (INF, None)
-    for blocks in _partitions(inst.variables):
+    for blocks in set_partitions(inst.variables):
         if assign_wants:
             wanted = [set().union(*(assign_wants.get(v, set()) for v in b))
                       for b in blocks]
@@ -290,7 +295,7 @@ def defined_relation(gadget: MinCspInstance, crisp_only: bool = True) -> EqRelat
     if not gadget.primaries:
         raise ValueError("gadget has no primary variables")
     tuples = set()
-    for blocks in _partitions(gadget.variables):
+    for blocks in set_partitions(gadget.variables):
         assignment = Assignment.from_blocks(blocks)
         ok = True
         for c in gadget.constraints:
@@ -305,7 +310,7 @@ def defined_relation(gadget: MinCspInstance, crisp_only: bool = True) -> EqRelat
 def _extension_cost(gadget: MinCspInstance, pattern: tuple[int, ...]) -> float:
     """Minimum gadget cost over assignments whose primary pattern is fixed."""
     best = INF
-    for blocks in _partitions(gadget.variables):
+    for blocks in set_partitions(gadget.variables):
         assignment = Assignment.from_blocks(blocks)
         if canonicalize([assignment[v] for v in gadget.primaries]) != pattern:
             continue

@@ -85,6 +85,22 @@ def refines(a: Sequence[int], b: Sequence[int]) -> str:
     return "strictly_refines" if strict else "refines"
 
 
+def union_classes(items: Iterable, pairs: Iterable[tuple]) -> dict:
+    """Union-find: map each item to the root of its class once every pair
+    is merged, the first member's root going under the second's."""
+    parent = {x: x for x in items}
+
+    def root(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        parent[root(a)] = root(b)
+    return {x: root(x) for x in parent}
+
+
 # ---------------------------------------------------------------------------
 # CNF machinery.  A literal is (i, j, op) with 1-based indices i < j.
 

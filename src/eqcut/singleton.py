@@ -27,6 +27,7 @@ from .relations import (
     canonicalize,
     is_horn,
     is_strictly_negative,
+    union_classes,
 )
 
 INFINITE = "inf"
@@ -162,17 +163,7 @@ def _connected(rel: SliceRelation) -> bool:
     touched = sorted({i for p in pairs for i in p})
     if not touched:
         return True
-    parent = {i: i for i in touched}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i, j in pairs:
-        parent[find(i)] = find(j)
-    return len({find(i) for i in touched}) == 1
+    return len(set(union_classes(touched, pairs).values())) == 1
 
 
 def _affine(rel: SliceRelation) -> bool:

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .cutgraph import (
     CutGraph,
@@ -16,7 +16,7 @@ from .cutgraph import (
     multiway_cut,
     separates,
 )
-from .instances import Constraint, MinCspInstance
+from .instances import Constraint, MinCspInstance, set_partitions
 from .relations import is_strictly_negative
 
 
@@ -125,27 +125,25 @@ def _steiner_feasible(g: CutGraph, cut: Iterable[str],
     return all(_tset_satisfied(g, cut, ts) for ts in t_sets)
 
 
-def _partitions_of(items: Sequence) -> Iterable[list[list]]:
-    if not items:
-        yield []
-        return
-    first, rest = items[0], list(items[1:])
-    for part in _partitions_of(rest):
-        for i in range(len(part)):
-            yield part[:i] + [part[i] + [first]] + part[i + 1:]
-        yield part + [[first]]
+def _greedy_feasible(g: CutGraph, t_sets, k: int) -> Optional[frozenset]:
+    """One deletable member per unsatisfied terminal set, pruned minimal.
 
-
-def _greedy_feasible(g: CutGraph, t_sets) -> Optional[frozenset]:
-    """One deletable member per unsatisfied terminal set, pruned minimal."""
+    A set without deletable members gets its smallest pair separator; when
+    every pair needs more than k deletions, OPT > k and None is returned.
+    """
     chosen: set = set()
     for ts in t_sets:
         if _tset_satisfied(g, chosen, ts):
             continue
         pick = next((v for v in ts if g.deletable(v)), None)
-        if pick is None:
+        if pick is not None:
+            chosen.add(pick)
+            continue
+        seps = [sep for a, b in itertools.combinations(ts, 2)
+                if (sep := min_vertex_separator(g, a, [b], limit=k)) is not None]
+        if not seps:
             return None
-        chosen.add(pick)
+        chosen |= min(seps, key=len)
     for v in sorted(chosen):
         if _steiner_feasible(g, chosen - {v}, t_sets):
             chosen.discard(v)
@@ -162,22 +160,18 @@ def steiner_2approx(g: CutGraph, t_sets: Sequence[Iterable[str]], k: int,
     a partition of X - W into intended components; contract classes, compute
     an exact multiway cut, and finish each piece with strict Steiner cuts.
     Any feasible start works; a greedy member-per-set choice keeps the guess
-    space small, with the brute-force oracle as desk-scale fallback.
+    space small.
     """
     t_sets = [sorted(set(ts)) for ts in t_sets]
     if _steiner_feasible(g, frozenset(), t_sets):
         return frozenset()
     if initial is None:
-        initial = _greedy_feasible(g, t_sets)
-    if initial is None:
-        from .oracles import steiner_multicut_vertex_opt
-
-        initial = steiner_multicut_vertex_opt(g, t_sets)
+        initial = _greedy_feasible(g, t_sets, k)
     if initial is None:
         return None
 
     for b in range(k + 1):
-        out = _steiner_compress(g, t_sets, list(initial), b)
+        out = _steiner_compress(g, t_sets, initial, b)
         if out is not None:
             assert _steiner_feasible(g, out, t_sets)
             assert len(out) <= 2 * b
@@ -185,47 +179,67 @@ def steiner_2approx(g: CutGraph, t_sets: Sequence[Iterable[str]], k: int,
     return None
 
 
-def _steiner_compress(g: CutGraph, t_sets, x_list: list[str], b: int
-                      ) -> Optional[frozenset]:
-    best: Optional[frozenset] = None
-    for w_size in range(min(len(x_list), b) + 1):
-        for w in itertools.combinations(x_list, w_size):
+def _hub_names(g: CutGraph, count: int) -> list[str]:
+    """The first count names #h0, #h1, ... that are not vertices of g."""
+    taken = set(g.vertices)
+    free = (h for h in (f"#h{i}" for i in itertools.count()) if h not in taken)
+    return list(itertools.islice(free, count))
+
+
+def compression_guesses(g: CutGraph, x: Iterable[str], k: int
+                        ) -> Iterator[tuple[frozenset, Iterator]]:
+    """The iterative-compression guesses around a feasible set X.
+
+    For each W within X of size <= k (by size, then in X's order) yields
+    (W, contractions).  The contractions stream has one entry per partition
+    of X - W into classes meant to stay connected: the graph G - W with
+    each class contracted into an undeletable hub, the hub names, and the
+    map from original name to hub.
+    """
+    x_list = list(x)
+    hub_pool = _hub_names(g, len(x_list))
+    for size in range(min(len(x_list), k) + 1):
+        for w in itertools.combinations(x_list, size):
             w = frozenset(w)
             rest = [v for v in x_list if v not in w]
-            g1 = g.without(w)
-            live_sets = [ts for ts in t_sets
-                         if not _tset_satisfied(g, w, ts)]
-            for partition in _partitions_of(rest):
-                out = _steiner_guess(g1, live_sets, partition, b - len(w))
-                if out is not None:
-                    cand = w | out
-                    if best is None or len(cand) < len(best):
-                        best = cand
+            yield w, _contractions(g.without(w), rest, hub_pool)
+
+
+def _contractions(g: CutGraph, items: list[str], hub_pool: list[str]
+                  ) -> Iterator[tuple[CutGraph, list[str], dict]]:
+    for partition in set_partitions(items):
+        hubs = hub_pool[:len(partition)]
+        contracted, renaming = g, {}
+        for hub, cls in zip(hubs, partition):
+            contracted = contracted.identify(cls, hub)
+            renaming.update(dict.fromkeys(cls, hub))
+        yield contracted.make_undeletable(hubs), hubs, renaming
+
+
+def _steiner_compress(g: CutGraph, t_sets, x: Iterable[str], b: int
+                      ) -> Optional[frozenset]:
+    best: Optional[frozenset] = None
+    for w, contractions in compression_guesses(g, x, b):
+        live_sets = [ts for ts in t_sets if not _tset_satisfied(g, w, ts)]
+        for g2, hubs, renaming in contractions:
+            out = _steiner_guess(g2, live_sets, hubs, renaming, b - len(w))
+            if out is not None:
+                cand = w | out
+                if best is None or len(cand) < len(best):
+                    best = cand
     return best
 
 
-def _steiner_guess(g1: CutGraph, t_sets, partition: list[list[str]], budget: int
-                   ) -> Optional[frozenset]:
-    """Contract the guessed classes, cut them apart, and solve each component
-    as a strict-Steiner instance around its contracted hub."""
-    if budget < 0:
-        return None
-    rename: dict = {}
-    hubs = []
-    g2 = g1
-    for i, cls in enumerate(partition):
-        hub = f"#hub{i}"
-        hubs.append(hub)
-        g2 = g2.identify(cls, hub)
-        for v in cls:
-            rename[v] = hub
+def _steiner_guess(g2: CutGraph, t_sets, hubs: list[str], renaming: dict,
+                   budget: int) -> Optional[frozenset]:
+    """Cut the contracted hubs apart, and solve each component as a
+    strict-Steiner instance around its hub."""
     mapped_sets = []
     for ts in t_sets:
-        mts = sorted({rename.get(v, v) for v in ts})
+        mts = sorted({renaming.get(v, v) for v in ts})
         if len(mts) == 1 and mts[0] in hubs:
             return None  # the guess merged a whole terminal set
         mapped_sets.append(mts)
-    g2 = g2.make_undeletable(hubs)
     m = multiway_cut(g2, hubs, budget) if len(hubs) > 1 else frozenset()
     if m is None:
         return None

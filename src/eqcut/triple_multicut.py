@@ -16,6 +16,7 @@ from typing import Iterable, Optional, Sequence
 
 from .cutgraph import CutGraph, TripleSet, components, reachable
 from .oracles import triple_multicut_feasible
+from .relations import union_classes
 
 
 # Boolean literals are (var, bool); clauses are 1- or 2-tuples of literals.
@@ -302,20 +303,11 @@ def _quotient_classes(g: CutGraph, xs: Sequence[str]) -> list[list[str]]:
     for v in xs:
         blocked = [u for u in g.vertices if g.deletable(u) and u != v]
         undel_reach[v] = reachable(g, [v], blocked)
-    parent = {v: v for v in xs}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for a, b in itertools.combinations(xs, 2):
-        if b in undel_reach[a]:
-            parent[find(a)] = find(b)
+    root = union_classes(xs, ((a, b) for a, b in itertools.combinations(xs, 2)
+                              if b in undel_reach[a]))
     out: dict = {}
     for v in xs:
-        out.setdefault(find(v), []).append(v)
+        out.setdefault(root[v], []).append(v)
     return list(out.values())
 
 

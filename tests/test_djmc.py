@@ -16,6 +16,7 @@ from eqcut.djmc import (
     solve_djmc,
 )
 from eqcut.oracles import djmc_cost
+from eqcut.solvers import steiner_2approx
 
 
 def test_measures():
@@ -116,3 +117,71 @@ def test_solve_djmc_undeletable_singletons():
     g = CutGraph.build("ab", [], undeletable={"a"})
     res = solve_djmc(g, [RequestList.of(("a",))], 3)
     assert not res.accepted
+
+
+def _random_lists(rng, vs, count):
+    lists = []
+    for _ in range(count):
+        pairs = []
+        for _ in range(rng.randint(1, 2)):
+            if rng.random() < 0.25:
+                pairs.append((rng.choice(vs),))
+            else:
+                pairs.append(tuple(rng.sample(vs, 2)))
+        lists.append(RequestList.of(*pairs))
+    return lists
+
+
+def test_hub_names_avoid_user_vertices():
+    """User vertices named like contraction hubs change no verdict.
+
+    The renaming keeps insertion and sort order, so the solvers make the
+    same choices on both graphs and return the same cuts up to renaming.
+    """
+    rename = {"#h0": "#g0", "#hub0": "#q0"}
+    back = {new: old for old, new in rename.items()}
+
+    def renamed(names):
+        return [rename.get(v, v) for v in names]
+
+    rng = random.Random(5)
+    for _ in range(40):
+        vs = ["#h0", "#hub0"] + [f"v{i}" for i in range(rng.randint(3, 6))]
+        edges = [(u, v) for u, v in itertools.combinations(vs, 2)
+                 if rng.random() < 0.4]
+        g = CutGraph.build(vs, edges)
+        g_r = CutGraph.build(renamed(vs), [renamed(e) for e in edges])
+        # sets that hold #hub0 but not #h0 put #hub0 into the compression
+        # set behind another class
+        t_sets = [rng.sample(vs[1:], rng.randint(2, 3))
+                  for _ in range(rng.randint(1, 3))]
+        k = rng.randint(1, 2)
+        out = steiner_2approx(g, t_sets, k)
+        out_r = steiner_2approx(g_r, [renamed(ts) for ts in t_sets], k)
+        assert (out is None) == (out_r is None)
+        if out is not None:
+            assert out == {back.get(v, v) for v in out_r}
+        lists = _random_lists(rng, vs, rng.randint(1, 3))
+        lists_r = [RequestList(frozenset(frozenset(renamed(p)) for p in l.pairs))
+                   for l in lists]
+        res = solve_djmc(g, lists, k)
+        res_r = solve_djmc(g_r, lists_r, k)
+        assert res.accepted == res_r.accepted
+        assert res.solution == {back.get(v, v) for v in res_r.solution}
+
+
+def test_solve_djmc_repeatable():
+    """No state carries from one solve to the next."""
+    rng = random.Random(41)
+    vs = [f"v{i}" for i in range(7)]
+    cases = []
+    for _ in range(6):
+        edges = [(u, v) for u, v in itertools.combinations(vs, 2)
+                 if rng.random() < 0.35]
+        cases.append((CutGraph.build(vs, edges),
+                      _random_lists(rng, vs, rng.randint(1, 3)),
+                      rng.randint(1, 2)))
+    first = [solve_djmc(g, lists, k) for g, lists, k in cases]
+    again = [solve_djmc(g, lists, k) for g, lists, k in reversed(cases)]
+    assert first == again[::-1]
+    assert any(res.accepted for res in first)

@@ -249,12 +249,12 @@ def test_mis_reduction():
 
 
 def _gadget_constant_models(gad):
-    from eqcut.instances import Assignment, _constraint_violated, _partitions
+    from eqcut.instances import Assignment, _constraint_violated, set_partitions
     from eqcut.relations import canonicalize
 
     prim = gad.primaries
     out = set()
-    for blocks in _partitions(gad.variables):
+    for blocks in set_partitions(gad.variables):
         labels = {}
         ok = True
         for i, b in enumerate(blocks):

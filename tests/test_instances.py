@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -18,6 +19,7 @@ from eqcut.instances import (
     inline_gadget,
     normalize_constraint,
     oracle_optimum,
+    set_partitions,
     soft,
     soft_assign,
     split_conjunctive,
@@ -235,3 +237,18 @@ def test_instance_plumbing():
         MinCspInstance("dup", ("a", "a"), ())
     with pytest.raises(ValueError):
         MinCspInstance("undeclared", ("a",), (soft(EQ, "a", "b"),))
+
+
+def test_set_partitions():
+    for n in range(8):
+        items = list(range(n))
+        seen = set()
+        for part in set_partitions(items):
+            assert sorted(x for block in part for x in block) == items
+            seen.add(frozenset(frozenset(block) for block in part))
+        assert len(seen) == [1, 1, 2, 5, 15, 52, 203, 877][n]
+    # the order fixes which compression guess a solver meets first
+    first = [[list(b) for b in part] for part in
+             itertools.islice(set_partitions("abc"), 5)]
+    assert first == [[["c", "b", "a"]], [["c", "b"], ["a"]], [["c", "a"], ["b"]],
+                     [["c"], ["b", "a"]], [["c"], ["b"], ["a"]]]

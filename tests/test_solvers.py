@@ -119,6 +119,40 @@ def test_steiner_2approx_contract_random():
     assert accepted and rejected
 
 
+def test_steiner_2approx_undeletable_terminals_vs_oracle():
+    """Terminal sets without deletable members start from pair separators."""
+    g = CutGraph.build("axb", [("a", "x"), ("x", "b")], undeletable="ab")
+    assert steiner_2approx(g, [("a", "b")], 1) == frozenset({"x"})
+    assert steiner_2approx(g, [("a", "b")], 0) is None
+    rng = random.Random(17)
+    accepted = rejected = 0
+    for _ in range(60):
+        n = rng.randint(5, 9)
+        vs = [f"v{i}" for i in range(n)]
+        edges = [(u, v) for u, v in itertools.combinations(vs, 2)
+                 if rng.random() < 0.35]
+        terminals = rng.sample(vs, rng.randint(2, 4))
+        g = CutGraph.build(vs, edges, undeletable=terminals)
+        t_sets = [rng.sample(terminals, rng.randint(2, min(3, len(terminals))))
+                  for _ in range(rng.randint(1, 3))]
+        opt = steiner_multicut_vertex_opt(g, t_sets)
+        k = rng.randint(0, 3)
+        out = steiner_2approx(g, t_sets, k)
+        if opt is not None and len(opt) <= k:
+            assert out is not None
+        if out is None:
+            assert opt is None or len(opt) > k
+            rejected += 1
+        else:
+            accepted += 1
+            assert opt is not None and len(out) <= 2 * len(opt)
+            assert not out & g.undeletable
+            assert all(any(separates(g, out, a, b)
+                           for a, b in itertools.combinations(sorted(set(ts)), 2))
+                       for ts in t_sets)
+    assert accepted and rejected
+
+
 def test_negative_solvers():
     inst = MinCspInstance.build("vc", [
         crisp(NEQ, "a", "b"), soft_assign("a", 1), soft_assign("b", 1)])
