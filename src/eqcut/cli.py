@@ -189,12 +189,14 @@ def cmd_reduce(args) -> int:
         out_text = formats.print_graph(bundle)
         payload["budget"] = red.budget
         payload["infeasible"] = red.infeasible
-        if args.verify and not red.infeasible:
+        if args.verify:
             from .oracles import triple_multicut_opt
 
             a = brute_force_cost(inst).cost <= (args.k or 0)
-            opt = triple_multicut_opt(red.graph, red.triples)
-            b = opt is not None and opt <= red.budget
+            b = False
+            if not red.infeasible:
+                opt = triple_multicut_opt(red.graph, red.triples)
+                b = opt is not None and opt <= red.budget
             payload["oracle_equal"] = a == b
     elif args.name == "rneq-to-djmc":
         from .gadgets import rneq_to_disjunctive_multicut

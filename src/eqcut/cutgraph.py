@@ -58,14 +58,6 @@ class CutGraph:
     def deletable(self, v: str) -> bool:
         return v not in self.undeletable
 
-    def neighbors(self, v: str) -> list[str]:
-        out = []
-        for e in self.edges:
-            if v in e:
-                (w,) = e - {v}
-                out.append(w)
-        return out
-
     def adjacency(self) -> dict:
         adj: dict = {v: [] for v in self.vertices}
         for e in self.edges:

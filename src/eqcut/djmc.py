@@ -9,7 +9,6 @@ the assembled solution against the original instance.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -21,6 +20,7 @@ from .cutgraph import (
     separates,
     shadow,
 )
+from .instances import subsets
 from .solvers import compression_guesses, hitting_set_branch
 
 
@@ -105,11 +105,10 @@ def shadow_cover(g: CutGraph, t_set: Sequence[str], k: int
     """
     candidates = [v for v in g.vertices
                   if g.deletable(v) and v not in set(t_set)]
-    for size in range(min(k, len(candidates)) + 1):
-        for y in itertools.combinations(candidates, size):
-            y = frozenset(y)
-            s_set = frozenset(shadow(g, y, t_set))
-            yield ShadowCoverResult(s_set, frozenset(g.vertices) - s_set, y)
+    for y in subsets(candidates, k):
+        y = frozenset(y)
+        s_set = frozenset(shadow(g, y, t_set))
+        yield ShadowCoverResult(s_set, frozenset(g.vertices) - s_set, y)
 
 
 def compute_rv(g: CutGraph, r_set: Iterable[str], x_set: Iterable[str],
@@ -247,11 +246,8 @@ def _rename_list(lst: RequestList, renaming: dict) -> RequestList:
 def _oracle_compression(g: CutGraph, lists: Sequence[RequestList]
                         ) -> Optional[frozenset]:
     dels = [v for v in g.vertices if g.deletable(v)]
-    for size in range(len(dels) + 1):
-        for cut in itertools.combinations(dels, size):
-            if all(list_satisfied(g, set(cut), l) for l in lists):
-                return frozenset(cut)
-    return None
+    return next((frozenset(cut) for cut in subsets(dels)
+                 if all(list_satisfied(g, set(cut), l) for l in lists)), None)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from .instances import (
     normalize_constraint,
     soft,
     soft_assign,
+    subsets,
 )
 from .relations import (
     EQ,
@@ -381,16 +382,15 @@ def wheel_verify(w: WheelGadget) -> WheelReport:
     softs = [c for c in inst.constraints if c.kind == "soft"]
     best_cost = None
     best_sets = []
-    for size in range(0, min(len(softs), 4) + 1):
-        for combo in itertools.combinations(softs, size):
-            cost = sum(c.multiplicity for c in combo)
-            if best_cost is not None and cost > best_cost:
-                continue
-            if _eq_neq_consistent(inst, combo):
-                if best_cost is None or cost < best_cost:
-                    best_cost, best_sets = cost, []
-                if cost == best_cost:
-                    best_sets.append(frozenset(combo))
+    for combo in subsets(softs, 4):
+        cost = sum(c.multiplicity for c in combo)
+        if best_cost is not None and cost > best_cost:
+            continue
+        if _eq_neq_consistent(inst, combo):
+            if best_cost is None or cost < best_cost:
+                best_cost, best_sets = cost, []
+            if cost == best_cost:
+                best_sets.append(frozenset(combo))
     no_two = all(len(s) >= 3 for s in best_sets)
 
     t, names = w.t, w.names
@@ -556,11 +556,7 @@ def spc_to_neq_neq(spc: SplitPairedCutInstance,
         a, fa = edge_info[frozenset(e1)]
         b, fb = edge_info[frozenset(e2)]
         cons.append(soft(rel, a, fa, b, fb))
-    seen = []
-    for n in all_names:
-        if n not in seen:
-            seen.append(n)
-    return MinCspInstance.build("spc_neq_neq", cons, seen), 9 * spc.k
+    return MinCspInstance.build("spc_neq_neq", cons, all_names), 9 * spc.k
 
 
 def spc_to_eq_neq(spc: SplitPairedCutInstance,
@@ -598,11 +594,7 @@ def spc_to_eq_neq(spc: SplitPairedCutInstance,
         u, v = e1
         b, fb = edge_info[frozenset(e2)]
         cons.append(soft(rel, u, v, b, fb))
-    seen = []
-    for n in all_names:
-        if n not in seen:
-            seen.append(n)
-    return MinCspInstance.build("spc_eq_neq", cons, seen), 5 * spc.k
+    return MinCspInstance.build("spc_eq_neq", cons, all_names), 5 * spc.k
 
 
 # ---------------------------------------------------------------------------

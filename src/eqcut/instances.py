@@ -7,6 +7,7 @@ constraints force the distinction.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass, replace
@@ -225,6 +226,14 @@ def set_partitions(items: Sequence) -> Iterator[list[list]]:
         part.pop()
 
 
+def subsets(items: Sequence, max_size: Optional[int] = None) -> Iterator[tuple]:
+    """Every subset of the items with at most max_size members (all of them
+    by default), by size and then in itertools.combinations order."""
+    top = len(items) if max_size is None else min(max_size, len(items))
+    for size in range(top + 1):
+        yield from itertools.combinations(items, size)
+
+
 def _labelings(wanted: list[set]) -> Iterator[dict]:
     """Injective partial maps block-index -> constant, restricted to constants
     some member of the block is assigned to (plus the unlabeled option)."""
@@ -249,6 +258,25 @@ def _labelings(wanted: list[set]) -> Iterator[dict]:
     yield from rec(0, frozenset(), {})
 
 
+def _assignments(inst: MinCspInstance) -> Iterator[Assignment]:
+    """Every canonical assignment: each partition of the variables, with
+    constants on blocks only where assignment constraints ask for them."""
+    assign_wants: dict = {}
+    for c in inst.constraints:
+        if c.is_assignment():
+            assign_wants.setdefault(c.scope[0], set()).add(c.value)
+    for blocks in set_partitions(inst.variables):
+        # without assignment constraints the only labelling is the empty one;
+        # building the label candidates anyway slows the oracle by about half
+        labelings: Iterable[dict] = ({},)
+        if assign_wants:
+            labelings = _labelings([
+                set().union(*(assign_wants.get(v, set()) for v in b))
+                for b in blocks])
+        for labels in labelings:
+            yield Assignment.from_blocks(blocks, labels)
+
+
 def oracle_optimum(inst: MinCspInstance, cap: Optional[int] = None
                    ) -> tuple[CostReport, Optional[Assignment]]:
     """Minimum cost over all assignments, by partition enumeration."""
@@ -256,29 +284,14 @@ def oracle_optimum(inst: MinCspInstance, cap: Optional[int] = None
     if len(inst.variables) > cap:
         raise OracleCapExceeded(
             f"{len(inst.variables)} variables exceeds oracle cap {cap}")
-    assign_wants: dict = {}
-    for c in inst.constraints:
-        if c.is_assignment():
-            assign_wants.setdefault(c.scope[0], set()).add(c.value)
-
-    best: tuple[float, Optional[Assignment]] = (INF, None)
-    for blocks in set_partitions(inst.variables):
-        if assign_wants:
-            wanted = [set().union(*(assign_wants.get(v, set()) for v in b))
-                      for b in blocks]
-            labelings = _labelings(wanted)
-        else:
-            labelings = iter(({},))
-        for labels in labelings:
-            assignment = Assignment.from_blocks(blocks, labels)
-            report = assignment_cost(inst, assignment)
-            if report.cost < best[0]:
-                best = (report.cost, assignment)
-                if best[0] == 0:
-                    return (report, assignment)
-    if best[1] is None:
-        return (CostReport(INF), None)
-    return (assignment_cost(inst, best[1]), best[1])
+    best: tuple[CostReport, Optional[Assignment]] = (CostReport(INF), None)
+    for assignment in _assignments(inst):
+        report = assignment_cost(inst, assignment)
+        if report.cost < best[0].cost:
+            best = (report, assignment)
+            if report.cost == 0:
+                break
+    return best
 
 
 def brute_force_cost(inst: MinCspInstance, cap: Optional[int] = None) -> CostReport:
@@ -290,57 +303,47 @@ def brute_force_cost(inst: MinCspInstance, cap: Optional[int] = None) -> CostRep
 # Gadget inlining.
 
 
-def defined_relation(gadget: MinCspInstance, crisp_only: bool = True) -> EqRelation:
+def pattern_costs(gadget: MinCspInstance) -> dict:
+    """Primary pattern -> minimum gadget cost over the assignments that
+    produce it; patterns no assignment produces are absent.
+
+    Crisp constraints count their multiplicity like soft ones, because
+    inline_gadget re-kinds every inlined constraint.
+    """
+    costs: dict = {}
+    for assignment in _assignments(gadget):
+        pattern = canonicalize([assignment[v] for v in gadget.primaries])
+        best, cost = costs.get(pattern, INF), 0
+        for c in gadget.constraints:
+            if cost >= best:
+                break
+            if _constraint_violated(c, assignment):
+                cost += c.multiplicity
+        if cost < best:
+            costs[pattern] = cost
+    return costs
+
+
+def defined_relation(gadget: MinCspInstance) -> EqRelation:
     """The relation a gadget pp-defines on its primary variables."""
     if not gadget.primaries:
         raise ValueError("gadget has no primary variables")
-    tuples = set()
-    for blocks in set_partitions(gadget.variables):
-        assignment = Assignment.from_blocks(blocks)
-        ok = True
-        for c in gadget.constraints:
-            if _constraint_violated(c, assignment):
-                ok = False
-                break
-        if ok:
-            tuples.add(canonicalize([assignment[v] for v in gadget.primaries]))
-    return EqRelation(f"def({gadget.name})", len(gadget.primaries), frozenset(tuples))
-
-
-def _extension_cost(gadget: MinCspInstance, pattern: tuple[int, ...]) -> float:
-    """Minimum gadget cost over assignments whose primary pattern is fixed."""
-    best = INF
-    for blocks in set_partitions(gadget.variables):
-        assignment = Assignment.from_blocks(blocks)
-        if canonicalize([assignment[v] for v in gadget.primaries]) != pattern:
-            continue
-        cost = 0
-        for c in gadget.constraints:
-            if _constraint_violated(c, assignment):
-                cost += c.multiplicity
-        best = min(best, cost)
-        if best == 0:
-            return 0
-    return best
+    tuples = frozenset(p for p, cost in pattern_costs(gadget).items() if cost == 0)
+    return EqRelation(f"def({gadget.name})", len(gadget.primaries), tuples)
 
 
 def check_pp_definition(gadget: MinCspInstance, target: EqRelation) -> bool:
     """Every satisfying primary pattern extends at cost 0, and only those."""
-    for pattern in all_patterns(len(gadget.primaries)):
-        cost = _extension_cost(gadget, pattern)
-        if (pattern in target.tuples) != (cost == 0):
-            return False
-    return True
+    costs = pattern_costs(gadget)
+    return all((pattern in target.tuples) == (costs.get(pattern) == 0)
+               for pattern in all_patterns(len(gadget.primaries)))
 
 
 def check_implementation(gadget: MinCspInstance, target: EqRelation) -> bool:
     """A pp-definition where every violating pattern extends at cost exactly one."""
-    for pattern in all_patterns(len(gadget.primaries)):
-        cost = _extension_cost(gadget, pattern)
-        want = 0 if pattern in target.tuples else 1
-        if cost != want:
-            return False
-    return True
+    costs = pattern_costs(gadget)
+    return all(costs.get(pattern) == (0 if pattern in target.tuples else 1)
+               for pattern in all_patterns(len(gadget.primaries)))
 
 
 def _instantiate(gadget: MinCspInstance, scope: Sequence[str], tag: str,

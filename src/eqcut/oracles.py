@@ -7,56 +7,53 @@ verification of the real algorithms and reductions.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .cutgraph import CutGraph, RequestList, TripleSet, components, reachable, separates
+from .instances import subsets
 
 
 def _deletable_vertices(g: CutGraph) -> list[str]:
     return [v for v in g.vertices if g.deletable(v)]
 
 
+def _smallest(items: Sequence, ok: Callable[[set], bool]) -> Optional[frozenset]:
+    """The first subset of the items, by size, that ok accepts, or None."""
+    return next((frozenset(s) for s in subsets(items) if ok(set(s))), None)
+
+
+def _cheapest_edge_set(g: CutGraph, ok: Callable[[CutGraph], bool]
+                       ) -> Optional[int]:
+    """Least total multiplicity of an edge set whose deletion leaves a graph
+    that ok accepts, or None.  An edge set costs at least its size, so the
+    search stops at the first set no smaller than the best cost found."""
+    best = None
+    for removed in subsets(sorted(g.edges, key=sorted)):
+        if best is not None and len(removed) >= best:
+            break
+        cost = sum(g.edges[e] for e in removed)
+        if best is not None and cost >= best:
+            continue
+        kept = {e: m for e, m in g.edges.items() if e not in removed}
+        if ok(CutGraph(g.vertices, g.undeletable, kept)):
+            best = cost
+    return best
+
+
 def edge_multicut_opt(g: CutGraph, requests: Sequence[tuple[str, str]]
                       ) -> Optional[int]:
     """Minimum number of edge deletions (counting multiplicity) separating
     every request pair, or None if impossible."""
-    edges = sorted(g.edges, key=sorted)
-
-    def ok(removed: set) -> bool:
-        kept = {e: m for e, m in g.edges.items() if e not in removed}
-        gg = CutGraph(g.vertices, g.undeletable, kept)
-        return all(t not in reachable(gg, [s]) for s, t in requests if s != t)
-
     if any(s == t for s, t in requests):
         return None
-    for size in range(len(edges) + 1):
-        best = None
-        for removed in itertools.combinations(edges, size):
-            if ok(set(removed)):
-                cost = sum(g.edges[e] for e in removed)
-                if best is None or cost < best:
-                    best = cost
-        if best is not None:
-            # a smaller-cardinality set can never have larger cost than
-            # needed; still scan one more size in case multiplicities differ
-            costs = [best]
-            for extra in range(size + 1, len(edges) + 1):
-                for removed in itertools.combinations(edges, extra):
-                    if ok(set(removed)):
-                        costs.append(sum(g.edges[e] for e in removed))
-            return min(costs)
-    return None
+    return _cheapest_edge_set(
+        g, lambda gg: all(t not in reachable(gg, [s]) for s, t in requests))
 
 
 def vertex_multicut_opt(g: CutGraph, requests: Sequence[tuple[str, str]]
                         ) -> Optional[frozenset]:
-    dels = _deletable_vertices(g)
-    for size in range(len(dels) + 1):
-        for removed in itertools.combinations(dels, size):
-            cut = set(removed)
-            if all(separates(g, cut, s, t) for s, t in requests):
-                return frozenset(cut)
-    return None
+    return _smallest(_deletable_vertices(g), lambda cut: all(
+        separates(g, cut, s, t) for s, t in requests))
 
 
 def multiway_cut_opt(g: CutGraph, terminals: Sequence) -> Optional[frozenset]:
@@ -67,12 +64,8 @@ def multiway_cut_opt(g: CutGraph, terminals: Sequence) -> Optional[frozenset]:
              for a in grp1 for b in grp2 if i != j]
     dels = [v for v in _deletable_vertices(g)
             if all(v not in grp for grp in groups)]
-    for size in range(len(dels) + 1):
-        for removed in itertools.combinations(dels, size):
-            cut = set(removed)
-            if all(t not in reachable(g, [s], cut) for s, t in pairs):
-                return frozenset(cut)
-    return None
+    return _smallest(dels, lambda cut: all(
+        t not in reachable(g, [s], cut) for s, t in pairs))
 
 
 def all_min_separators(g: CutGraph, s: str, targets: Sequence[str],
@@ -81,14 +74,15 @@ def all_min_separators(g: CutGraph, s: str, targets: Sequence[str],
     dels = [v for v in _deletable_vertices(g) if v != s]
     if not cut_targets:
         dels = [v for v in dels if v not in targets]
-    for size in range(len(dels) + 1):
-        found = [
-            frozenset(rm) for rm in itertools.combinations(dels, size)
-            if all(separates(g, set(rm), s, t) for t in targets)
-        ]
-        if found:
-            return found
-    return []
+
+    def ok(cut: set) -> bool:
+        return all(separates(g, cut, s, t) for t in targets)
+
+    first = _smallest(dels, ok)
+    if first is None:
+        return []
+    return [frozenset(rm) for rm in itertools.combinations(dels, len(first))
+            if ok(set(rm))]
 
 
 def steiner_multicut_vertex_opt(g: CutGraph, t_sets: Sequence[Iterable[str]],
@@ -107,21 +101,14 @@ def steiner_multicut_vertex_opt(g: CutGraph, t_sets: Sequence[Iterable[str]],
                 return False
         return True
 
-    for size in range(len(dels) + 1):
-        for removed in itertools.combinations(dels, size):
-            if satisfied(set(removed)):
-                return frozenset(removed)
-    return None
+    return _smallest(dels, satisfied)
 
 
 def steiner_multicut_edge_opt(g: CutGraph, t_sets: Sequence[Iterable[str]]
                               ) -> Optional[int]:
     """Minimum edge-deletion cost separating some pair inside every set."""
-    edges = sorted(g.edges, key=sorted)
 
-    def satisfied(removed: set) -> bool:
-        kept = {e: m for e, m in g.edges.items() if e not in removed}
-        gg = CutGraph(g.vertices, g.undeletable, kept)
+    def satisfied(gg: CutGraph) -> bool:
         for ts in t_sets:
             ts = list(ts)
             if not any(b not in reachable(gg, [a])
@@ -129,21 +116,11 @@ def steiner_multicut_edge_opt(g: CutGraph, t_sets: Sequence[Iterable[str]]
                 return False
         return True
 
-    best = None
-    for size in range(len(edges) + 1):
-        for removed in itertools.combinations(edges, size):
-            if satisfied(set(removed)):
-                cost = sum(g.edges[e] for e in removed)
-                if best is None or cost < best:
-                    best = cost
-        if best is not None and best <= size:
-            return best
-    return best
+    return _cheapest_edge_set(g, satisfied)
 
 
 def djmc_cost(g: CutGraph, lists: Sequence[RequestList]) -> Optional[int]:
     """Minimum size of a deletable vertex set satisfying every request list."""
-    dels = _deletable_vertices(g)
 
     def satisfied(cut: set) -> bool:
         for lst in lists:
@@ -155,11 +132,8 @@ def djmc_cost(g: CutGraph, lists: Sequence[RequestList]) -> Optional[int]:
                 return False
         return True
 
-    for size in range(len(dels) + 1):
-        for removed in itertools.combinations(dels, size):
-            if satisfied(set(removed)):
-                return size
-    return None
+    cut = _smallest(_deletable_vertices(g), satisfied)
+    return None if cut is None else len(cut)
 
 
 def triple_multicut_feasible(g: CutGraph, triples: TripleSet,
@@ -182,19 +156,16 @@ def triple_multicut_feasible(g: CutGraph, triples: TripleSet,
 
 def triple_multicut_opt(g: CutGraph, triples: TripleSet) -> Optional[int]:
     """Minimum |Z_V| + cost(Z_T) over all feasible deletion pairs."""
-    dels = _deletable_vertices(g)
     tri_list = list(triples)
     best = None
-    for nv in range(len(dels) + 1):
-        for z_v in itertools.combinations(dels, nv):
-            for nt in range(len(tri_list) + 1):
-                for chosen in itertools.combinations(tri_list, nt):
-                    cost = nv + sum(m for _t, m in chosen)
-                    if best is not None and cost >= best:
-                        continue
-                    if triple_multicut_feasible(
-                            g, triples, z_v, [t for t, _ in chosen]):
-                        best = cost
+    for z_v in subsets(_deletable_vertices(g)):
+        for chosen in subsets(tri_list):
+            cost = len(z_v) + sum(m for _t, m in chosen)
+            if best is not None and cost >= best:
+                continue
+            if triple_multicut_feasible(
+                    g, triples, z_v, [t for t, _ in chosen]):
+                best = cost
     return best
 
 
@@ -204,9 +175,4 @@ def hitting_set_opt(sets: Sequence[Iterable], universe: Iterable = ()
     fams = [set(s) for s in sets]
     if any(not s for s in fams):
         return None
-    for size in range(len(elems) + 1):
-        for chosen in itertools.combinations(elems, size):
-            cs = set(chosen)
-            if all(s & cs for s in fams):
-                return frozenset(cs)
-    return None
+    return _smallest(elems, lambda cs: all(s & cs for s in fams))

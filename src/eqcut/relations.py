@@ -242,8 +242,7 @@ def _clause_models(arity: int) -> tuple:
     by width so that minimality pruning can scan in one pass."""
     bits = _pattern_bits(arity)
     out = []
-    max_width = arity * (arity - 1) // 2
-    for width in range(1, max_width + 1):
+    for width in range(1, arity * (arity - 1) // 2 + 1):
         for cl in _all_clauses_of_width(arity, width):
             mask = 0
             for t, b in bits.items():
@@ -261,19 +260,13 @@ def relation_mask(rel: EqRelation) -> int:
     return m
 
 
-def entailed_clauses(rel: EqRelation, fragment: str, max_width: Optional[int] = None) -> set:
+def entailed_clauses(rel: EqRelation, fragment: str) -> set:
     """All inclusion-minimal clauses of the fragment satisfied by every tuple of rel."""
     if fragment not in FRAGMENTS:
         raise ValueError(f"unknown fragment {fragment!r}")
-    r = rel.arity
-    if max_width is None:
-        max_width = r * (r - 1)
-    max_width = min(max_width, r * (r - 1) // 2)
     rmask = relation_mask(rel)
     found: set = set()
-    for cl, mask in _clause_models(r):
-        if len(cl) > max_width:
-            break
+    for cl, mask in _clause_models(rel.arity):
         if rmask & mask != rmask:
             continue
         if not clause_in_fragment(cl, fragment):

@@ -29,6 +29,7 @@ from .relations import (
     is_strictly_negative,
     union_classes,
 )
+from .instances import subsets
 
 INFINITE = "inf"
 
@@ -87,12 +88,11 @@ def preserved_by_collapse(rel: EqRelation, c: int) -> bool:
         raise ValueError("c must be at least 1")
     for t in rel.tuples:
         values = sorted(set(t))
-        for r in range(0, min(c - 1, len(values)) + 1):
-            for keep in itertools.combinations(values, r):
-                keep_set = set(keep)
-                merged = tuple(x if x in keep_set else 0 for x in t)
-                if canonicalize(merged) not in rel.tuples:
-                    return False
+        for keep in subsets(values, c - 1):
+            keep_set = set(keep)
+            merged = tuple(x if x in keep_set else 0 for x in t)
+            if canonicalize(merged) not in rel.tuples:
+                return False
     return True
 
 

@@ -6,7 +6,7 @@ algorithms for strictly negative languages with assignment constraints.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .cutgraph import (
@@ -16,7 +16,14 @@ from .cutgraph import (
     multiway_cut,
     separates,
 )
-from .instances import Constraint, MinCspInstance, set_partitions
+from .instances import (
+    Assignment,
+    Constraint,
+    MinCspInstance,
+    _constraint_violated,
+    set_partitions,
+    subsets,
+)
 from .relations import is_strictly_negative
 
 
@@ -198,11 +205,10 @@ def compression_guesses(g: CutGraph, x: Iterable[str], k: int
     """
     x_list = list(x)
     hub_pool = _hub_names(g, len(x_list))
-    for size in range(min(len(x_list), k) + 1):
-        for w in itertools.combinations(x_list, size):
-            w = frozenset(w)
-            rest = [v for v in x_list if v not in w]
-            yield w, _contractions(g.without(w), rest, hub_pool)
+    for w in subsets(x_list, k):
+        w = frozenset(w)
+        rest = [v for v in x_list if v not in w]
+        yield w, _contractions(g.without(w), rest, hub_pool)
 
 
 def _contractions(g: CutGraph, items: list[str], hub_pool: list[str]
@@ -288,8 +294,6 @@ def _steiner_guess(g2: CutGraph, t_sets, hubs: list[str], renaming: dict,
 def _tentative_violation(inst: MinCspInstance) -> Optional[Constraint]:
     """Violated relation constraint under the canonical assignment that obeys
     every remaining assignment constraint and spreads other variables out."""
-    from .instances import Assignment, _constraint_violated
-
     value: dict = {}
     for c in inst.constraints:
         if c.is_assignment():
@@ -415,8 +419,6 @@ def negative_approx(inst: MinCspInstance) -> tuple[int, list[Constraint]]:
                     for c in cs:
                         work.remove(c)
                         deleted.append(c)
-            from dataclasses import replace
-
             surplus = min(m1, m2)
             for c in list(groups[best_val]):
                 if surplus <= 0:
@@ -431,8 +433,6 @@ def negative_approx(inst: MinCspInstance) -> tuple[int, list[Constraint]]:
                                           c.value))
                 surplus -= take
             changed = True
-
-    from dataclasses import replace
 
     while True:
         cur = MinCspInstance.build(inst.name, work, inst.variables)

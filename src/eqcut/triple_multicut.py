@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .cutgraph import CutGraph, TripleSet, components, reachable
+from .instances import subsets
 from .oracles import triple_multicut_feasible
 from .relations import union_classes
 
@@ -391,7 +392,7 @@ def triple_multicut(g: CutGraph, triples: TripleSet, k: int
 
     tri_mult = dict(triples)
     tri_keys = sorted(tri_mult, key=sorted)
-    for w_t in _subsets(tri_keys):
+    for w_t in subsets(tri_keys):
         spent_t = sum(tri_mult[t] for t in w_t)
         if spent_t > k:
             continue
@@ -399,10 +400,8 @@ def triple_multicut(g: CutGraph, triples: TripleSet, k: int
         protected = [t for t, _m in live]
         x_verts = [v for t in protected for v in sorted(t)]
         x_verts = [v for v in dict.fromkeys(x_verts) if g.deletable(v)]
-        for w_v in _subsets(x_verts):
+        for w_v in subsets(x_verts, k - spent_t):
             spent = spent_t + len(w_v)
-            if spent > k:
-                continue
             g1 = g.without(w_v)
             rem_x = [v for t in protected for v in sorted(t)
                      if v not in set(w_v)]
@@ -426,8 +425,3 @@ def triple_multicut(g: CutGraph, triples: TripleSet, k: int
                         return TripleMulticutResult(True, frozenset(z_v_full),
                                                     frozenset(z_t_full))
     return TripleMulticutResult(False)
-
-
-def _subsets(items: Sequence) -> Iterable[tuple]:
-    for r in range(len(items) + 1):
-        yield from itertools.combinations(items, r)

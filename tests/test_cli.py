@@ -1,9 +1,13 @@
 import json
+import os
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
+
 import pytest
 
+import eqcut
 from eqcut.cli import main
 
 
@@ -92,6 +96,20 @@ def test_reduce_verify(tmp_path, capsys):
     assert "soft = a b" in out_path.read_text()
 
 
+def test_reduce_verify_infeasible_triple_mc(tmp_path, capsys):
+    # a crisp constraint no assignment satisfies: the reduction reports
+    # infeasible, and --verify must still compare it with the oracle
+    p = tmp_path / "x.inst"
+    p.write_text("crisp neq3 a a b\n")
+    code, out, _ = run_cli(
+        ["reduce", "mincsp-to-triple-mc", "--in", str(p), "--out",
+         str(tmp_path / "out.g"), "-k", "1", "--verify", "--report",
+         "machine"], capsys)
+    report = json.loads(out)
+    assert code == 0 and report["infeasible"] is True
+    assert report["oracle_equal"] is True
+
+
 def test_reduce_hitting_set(tmp_path, capsys):
     p = tmp_path / "sets.txt"
     p.write_text("set a b\nset b c\n")
@@ -123,8 +141,12 @@ def test_strict_steiner_bad_hub_exit_code(tmp_path, capsys):
 def test_cli_entrypoint_subprocess(tmp_path):
     p = tmp_path / "eq.rel"
     p.write_text("relation eq 2\ntuple 1 1\n")
+    # run the package under test even when it is not installed
+    src = str(Path(eqcut.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "eqcut.cli", "classify", "--in", str(p)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "verdict" in proc.stdout

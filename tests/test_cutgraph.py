@@ -17,6 +17,7 @@ from eqcut.cutgraph import (
 )
 from eqcut.oracles import (
     all_min_separators,
+    edge_multicut_opt,
     multiway_cut_opt,
     vertex_multicut_opt,
 )
@@ -180,3 +181,11 @@ def test_vertex_multicut_oracle_sanity():
     g = CutGraph.build("sabt", [("s", "a"), ("a", "t"), ("s", "b"), ("b", "t")])
     cut = vertex_multicut_opt(g, [("s", "t")])
     assert cut is not None and len(cut) in (1, 2)
+
+
+def test_edge_multicut_oracle_prefers_cheaper_larger_cut():
+    # the only one-edge cut is a-b of multiplicity 5; the two-edge cut
+    # {b-c, b-d} costs 2, so the search must look past the first size
+    g = CutGraph.build("abcdt", [("a", "b", 5), ("b", "c"), ("b", "d"),
+                                 ("c", "t"), ("d", "t")])
+    assert edge_multicut_opt(g, [("a", "t")]) == 2

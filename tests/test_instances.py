@@ -23,6 +23,7 @@ from eqcut.instances import (
     soft,
     soft_assign,
     split_conjunctive,
+    subsets,
 )
 from eqcut.relations import (
     EQ,
@@ -252,3 +253,22 @@ def test_set_partitions():
              itertools.islice(set_partitions("abc"), 5)]
     assert first == [[["c", "b", "a"]], [["c", "b"], ["a"]], [["c", "a"], ["b"]],
                      [["c"], ["b", "a"]], [["c"], ["b"], ["a"]]]
+
+
+def test_subsets():
+    assert list(subsets("abc")) == [
+        (), ("a",), ("b",), ("c",), ("a", "b"), ("a", "c"), ("b", "c"),
+        ("a", "b", "c")]
+    assert list(subsets("abcd", 2)) == [
+        (), ("a",), ("b",), ("c",), ("d",), ("a", "b"), ("a", "c"),
+        ("a", "d"), ("b", "c"), ("b", "d"), ("c", "d")]
+    assert list(subsets("ab", 5)) == list(subsets("ab"))
+    assert list(subsets("ab", 0)) == [()]
+    assert list(subsets("")) == [()]
+    for n in range(5):
+        items = list(range(n))
+        out = list(subsets(items))
+        assert len(out) == len(set(out)) == 2 ** n
+        assert [len(s) for s in out] == sorted(len(s) for s in out)
+        for k in range(n + 1):
+            assert list(subsets(items, k)) == [s for s in out if len(s) <= k]
