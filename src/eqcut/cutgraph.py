@@ -2,14 +2,16 @@
 
 Vertices are partitioned into deletable and undeletable; undeletable vertices
 behave like k+1 twins (infinite capacity in the flow transform).  All
-separator primitives work on the vertex-split flow network.
+separator primitives work on the vertex-split flow network.  Searches and
+flows run on one integer index per graph (vertex i is ``g.vertices[i]``),
+built on first use and cached on the frozen graph.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 
@@ -36,10 +38,7 @@ class CutGraph:
     @staticmethod
     def build(vertices: Iterable[str], edges: Iterable = (),
               undeletable: Iterable[str] = ()) -> "CutGraph":
-        vlist: list[str] = []
-        for v in vertices:
-            if v not in vlist:
-                vlist.append(v)
+        vseen = dict.fromkeys(vertices)  # insertion-ordered, deduplicated
         emap: dict = {}
         for e in edges:
             if len(e) == 3:
@@ -48,15 +47,18 @@ class CutGraph:
                 (u, v), m = e, 1
             if u == v:
                 raise ValueError("self-loop")
-            for w in (u, v):
-                if w not in vlist:
-                    vlist.append(w)
+            vseen.setdefault(u)
+            vseen.setdefault(v)
             key = frozenset({u, v})
             emap[key] = emap.get(key, 0) + m
-        return CutGraph(tuple(vlist), frozenset(undeletable), emap)
+        return CutGraph(tuple(vseen), frozenset(undeletable), emap)
 
     def deletable(self, v: str) -> bool:
         return v not in self.undeletable
+
+    @cached_property
+    def _index(self) -> "_Index":
+        return _Index(self)
 
     def adjacency(self) -> dict:
         adj: dict = {v: [] for v in self.vertices}
@@ -81,11 +83,7 @@ class CutGraph:
         """Contract a vertex group into a single new vertex (dropping loops)."""
         group_set = set(group)
         rename = {v: (new_name if v in group_set else v) for v in self.vertices}
-        vs: list[str] = []
-        for v in self.vertices:
-            nv = rename[v]
-            if nv not in vs:
-                vs.append(nv)
+        vs = dict.fromkeys(rename[v] for v in self.vertices)
         emap: dict = {}
         for e, m in self.edges.items():
             u, v = sorted(e)
@@ -137,6 +135,8 @@ class TripleSet:
                 tri, m = frozenset(t), 1
             if len(tri) != 3:
                 raise ValueError(f"triple must have 3 distinct vertices: {t}")
+            if m < 1:
+                raise ValueError("triple multiplicity must be positive")
             out.append((tri, m))
         merged: dict = {}
         order: list = []
@@ -153,42 +153,90 @@ class TripleSet:
         return len(self.triples)
 
 
+# ---------------------------------------------------------------------------
+# Integer index.  In the vertex-split flow network node 2i is the in-copy
+# and 2i+1 the out-copy of vertex i, arc 2i is the vertex arc of vertex i,
+# and the reverse of arc j is arc j ^ 1.
+
+_BIG = 1 << 30
+
+
+class _Index:
+    """Integer view of one CutGraph: vertex i is ``names[i]``, and
+    ``nbrs[i]`` lists its neighbours in ``adjacency()`` order."""
+
+    def __init__(self, g: CutGraph):
+        self.names = g.vertices
+        self.undeletable = g.undeletable
+        self.pos = pos = {v: i for i, v in enumerate(g.vertices)}
+        self.nbrs: list[list[int]] = [[] for _ in g.vertices]
+        for u, v in g.edges:
+            a, b = (pos[u], pos[v]) if u < v else (pos[v], pos[u])
+            self.nbrs[a].append(b)
+            self.nbrs[b].append(a)
+
+    def mark(self, names: Iterable[str]) -> bytearray:
+        """One flag per vertex, set for those of the names that are vertices."""
+        out = bytearray(len(self.names))
+        for v in names:
+            i = self.pos.get(v)
+            if i is not None:
+                out[i] = 1
+        return out
+
+    def visit(self, starts: Iterable[int], mark: bytearray) -> list[int]:
+        """Marks and returns, in depth-first order, the unmarked vertices
+        reachable from the starts through unmarked vertices."""
+        nbrs = self.nbrs
+        order = []
+        stack = list(starts)
+        while stack:
+            x = stack.pop()
+            if mark[x]:
+                continue
+            mark[x] = 1
+            order.append(x)
+            stack += nbrs[x]
+        return order
+
+    @cached_property
+    def arcs(self) -> tuple[list[int], list[list[int]], list[int]]:
+        """The head of every arc, the arcs out of every node, and the
+        capacities: 1 on the vertex arc of a deletable vertex, _BIG on
+        every other forward arc, 0 on reverse arcs."""
+        head: list[int] = []
+        cap: list[int] = []
+        for i, v in enumerate(self.names):
+            head += (2 * i + 1, 2 * i)
+            cap += (_BIG if v in self.undeletable else 1, 0)
+        for a, nbrs in enumerate(self.nbrs):
+            for b in nbrs:
+                if a < b:
+                    head += (2 * b, 2 * a + 1, 2 * a, 2 * b + 1)
+                    cap += (_BIG, 0, _BIG, 0)
+        out: list[list[int]] = [[] for _ in range(2 * len(self.names))]
+        for j in range(len(head)):
+            out[head[j ^ 1]].append(j)
+        return head, out, cap
+
+
 def components(g: CutGraph, deleted: Iterable[str] = ()) -> list[frozenset]:
     deleted = set(deleted)
     bad = deleted & g.undeletable
     if bad:
         raise ValueError(f"cannot delete undeletable vertices {sorted(bad)}")
-    adj = g.adjacency()
-    seen: set = set(deleted)
-    out = []
-    for start in g.vertices:
-        if start in seen:
-            continue
-        comp = set()
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            if x in seen:
-                continue
-            seen.add(x)
-            comp.add(x)
-            stack.extend(w for w in adj[x] if w not in seen and w not in deleted)
-        out.append(frozenset(comp))
-    return out
+    idx = g._index
+    mark = idx.mark(deleted)
+    return [frozenset(idx.names[j] for j in idx.visit([i], mark))
+            for i in range(len(idx.names)) if not mark[i]]
 
 
 def reachable(g: CutGraph, sources: Iterable[str], deleted: Iterable[str] = ()) -> set:
     deleted = set(deleted)
-    adj = g.adjacency()
-    seen: set = set()
-    stack = [s for s in sources if s not in deleted]
-    while stack:
-        x = stack.pop()
-        if x in seen:
-            continue
-        seen.add(x)
-        stack.extend(w for w in adj[x] if w not in seen and w not in deleted)
-    return seen
+    idx = g._index
+    order = idx.visit([idx.pos[s] for s in sources if s not in deleted],
+                      idx.mark(deleted))
+    return {idx.names[i] for i in order}
 
 
 def separates(g: CutGraph, cut: Iterable[str], s: str, t: str) -> bool:
@@ -198,111 +246,110 @@ def separates(g: CutGraph, cut: Iterable[str], s: str, t: str) -> bool:
         return True
     if s == t:
         return False
-    return t not in reachable(g, [s], cut)
+    idx = g._index
+    mark = idx.mark(cut)
+    idx.visit([idx.pos[s]], mark)
+    return not mark[idx.pos[t]]
 
 
 def shadow(g: CutGraph, deleted: Iterable[str], t_set: Iterable[str]) -> set:
     """Vertices of G - deleted that cannot reach the T set."""
     deleted = set(deleted)
-    seen = reachable(g, [t for t in t_set if t not in deleted], deleted)
-    return {v for v in g.vertices if v not in deleted and v not in seen}
+    idx = g._index
+    mark = idx.mark(deleted)
+    idx.visit([idx.pos[t] for t in t_set if t not in deleted], mark)
+    return {v for v, m in zip(idx.names, mark) if not m}
 
 
 # ---------------------------------------------------------------------------
-# Vertex-capacity flow.  Nodes (v, 0) / (v, 1) are the in/out copies of v.
-
-_BIG = 1 << 30
+# Vertex-capacity flow.
 
 
-class _FlowNet:
-    def __init__(self, g: CutGraph, cuttable: set):
-        self.cap: dict = {}
-        self.adj: dict = {}
-        for v in g.vertices:
-            c = 1 if v in cuttable else _BIG
-            self._arc((v, 0), (v, 1), c)
-        for e, m in g.edges.items():
-            u, v = sorted(e)
-            self._arc((u, 1), (v, 0), _BIG)
-            self._arc((v, 1), (u, 0), _BIG)
+class _Residual:
+    """Residual network of one flow on a graph's vertex-split network.
 
-    def _arc(self, a, b, c):
-        self.cap[(a, b)] = self.cap.get((a, b), 0) + c
-        self.cap.setdefault((b, a), 0)
-        self.adj.setdefault(a, set()).add(b)
-        self.adj.setdefault(b, set()).add(a)
-        self.adj.setdefault(a, set())
+    The source feeds the start nodes and the sink drains the sink nodes,
+    through infinite arcs that stay implicit.  Blocked vertices get an
+    infinite vertex arc, so no cut contains them.
+    """
 
-    def add_arc(self, a, b, c=_BIG):
-        self._arc(a, b, c)
+    def __init__(self, idx: _Index, blocked: Iterable[int],
+                 starts: list[int], sinks: list[int]):
+        self.names = idx.names
+        self.head, self.out, cap = idx.arcs
+        self.cap = cap[:]
+        for i in blocked:
+            self.cap[2 * i] = _BIG
+        self.starts, self.sinks = starts, sinks
 
-    def maxflow(self, source, sink, limit: int) -> int:
-        """Edmonds-Karp up to the limit; returns min(flow value, limit+1)."""
+    def maxflow(self, limit: int) -> int:
+        """Edmonds-Karp, stopping as soon as the flow exceeds the limit:
+        the maximum flow value when it is at most the limit, else some
+        value above the limit."""
+        head, cap = self.head, self.cap
+        at_sink = bytearray(len(self.out))
+        for y in self.sinks:
+            at_sink[y] = 1
         flow = 0
         while flow <= limit:
-            parent = {source: None}
-            dq = deque([source])
-            found = False
-            while dq and not found:
-                x = dq.popleft()
-                for y in self.adj[x]:
-                    if y not in parent and self.cap.get((x, y), 0) > 0:
-                        parent[y] = x
-                        if y == sink:
-                            found = True
-                            break
-                        dq.append(y)
-            if not found:
+            via, end = self._path(at_sink)
+            if end < 0:
                 return flow
-            # bottleneck
-            path = []
-            y = sink
-            while parent[y] is not None:
-                path.append((parent[y], y))
-                y = parent[y]
-            aug = min(self.cap[(a, b)] for a, b in path)
-            for a, b in path:
-                self.cap[(a, b)] -= aug
-                self.cap[(b, a)] += aug
+            aug, y = _BIG, end
+            while via[y] >= 0:
+                aug = min(aug, cap[via[y]])
+                y = head[via[y] ^ 1]
+            y = end
+            while via[y] >= 0:
+                j = via[y]
+                cap[j] -= aug
+                cap[j ^ 1] += aug
+                y = head[j ^ 1]
             flow += aug
         return flow
 
-    def residual_reachable(self, source) -> set:
-        seen = {source}
-        dq = deque([source])
-        while dq:
-            x = dq.popleft()
-            for y in self.adj[x]:
-                if y not in seen and self.cap.get((x, y), 0) > 0:
-                    seen.add(y)
-                    dq.append(y)
-        return seen
+    def _path(self, at_sink: bytearray) -> tuple[list[int], int]:
+        """Breadth-first search for a shortest augmenting path: the arc
+        entering each reached node (-2 at a start) and the node where the
+        path meets the sink (-1 if none)."""
+        head, out, cap = self.head, self.out, self.cap
+        via = [-1] * len(out)
+        queue = list(self.starts)
+        for s in queue:
+            via[s] = -2
+            if at_sink[s]:
+                return via, s
+        for x in queue:
+            for j in out[x]:
+                if cap[j]:
+                    y = head[j]
+                    if via[y] == -1:
+                        via[y] = j
+                        if at_sink[y]:
+                            return via, y
+                        queue.append(y)
+        return via, -1
 
-    def residual_coreachable(self, sink) -> set:
-        """Nodes with a positive-capacity residual path to the sink."""
-        seen = {sink}
-        dq = deque([sink])
-        while dq:
-            y = dq.popleft()
-            for x in self.adj[y]:
-                if x not in seen and self.cap.get((x, y), 0) > 0:
-                    seen.add(x)
-                    dq.append(x)
-        return seen
-
-
-def _separator_net(g: CutGraph, s: str, targets: Sequence[str],
-                   cut_targets: bool, forbidden: Iterable[str] = ()):
-    forbidden = set(forbidden) | {s}
-    cuttable = {v for v in g.vertices
-                if g.deletable(v) and v not in forbidden}
-    if not cut_targets:
-        cuttable -= set(targets)
-    net = _FlowNet(g, cuttable)
-    sink = ("__sink__", 0)
-    for t in targets:
-        net.add_arc((t, 1) if cut_targets else (t, 0), sink)
-    return net, (s, 1), sink
+    def min_cut(self, near_sink: bool) -> frozenset:
+        """The vertices whose vertex arc leaves the residual closure of the
+        source (the minimum cut closest to the source) or, with near_sink,
+        enters the set of nodes that reach the sink (the one closest to it)."""
+        head, out, cap = self.head, self.out, self.cap
+        seeds = self.sinks if near_sink else self.starts
+        flip = 1 if near_sink else 0
+        seen = bytearray(len(out))
+        queue = list(seeds)
+        for s in queue:
+            seen[s] = 1
+        for x in queue:
+            for j in out[x]:
+                y = head[j]
+                if cap[j ^ flip] and not seen[y]:
+                    seen[y] = 1
+                    queue.append(y)
+        # vertex i is cut when one copy is in the closure and the other not
+        cut = sorted(x >> 1 for x in queue if x & 1 == flip and not seen[x ^ 1])
+        return frozenset(self.names[i] for i in cut)
 
 
 def min_vertex_separator(g: CutGraph, s: str, targets: Sequence[str],
@@ -320,15 +367,16 @@ def min_vertex_separator(g: CutGraph, s: str, targets: Sequence[str],
     if not targets:
         return frozenset()
     hard_limit = limit if limit is not None else len(g.vertices)
-    net, source, sink = _separator_net(g, s, targets, cut_targets, forbidden)
-    flow = net.maxflow(source, sink, hard_limit)
+    idx = g._index
+    pos = idx.pos
+    blocked = {s, *forbidden} if cut_targets else {s, *forbidden, *targets}
+    side = 1 if cut_targets else 0
+    net = _Residual(idx, (pos[v] for v in blocked if v in pos),
+                    [2 * pos[s] + 1], [2 * pos[t] + side for t in targets])
+    flow = net.maxflow(hard_limit)
     if flow > hard_limit:
         return None
-    reach = net.residual_reachable(source)
-    cut = frozenset(
-        v for v in g.vertices
-        if (v, 0) in reach and (v, 1) not in reach
-    )
+    cut = net.min_cut(near_sink=False)
     if flow >= _BIG or len(cut) != flow:
         return None
     return cut
@@ -338,22 +386,15 @@ def _farthest_min_sep(g: CutGraph, xs: Iterable[str], ys: Iterable[str],
                       limit: int) -> tuple[Optional[int], Optional[frozenset]]:
     """Size of a minimum X-Y separator and the one closest to Y (maximal
     X-side), or (None, None) when the size exceeds the limit or is infinite."""
-    xs, ys = set(xs), set(ys)
-    cuttable = {v for v in g.vertices
-                if g.deletable(v) and v not in xs and v not in ys}
-    net = _FlowNet(g, cuttable)
-    src = ("__src__", 1)
-    sink = ("__sink__", 0)
-    for x in xs:
-        net.add_arc(src, (x, 0))
-    for y in ys:
-        net.add_arc((y, 1), sink)
-    flow = net.maxflow(src, sink, limit)
+    pos = g._index.pos
+    xi = [pos[x] for x in set(xs)]
+    yi = [pos[y] for y in set(ys)]
+    net = _Residual(g._index, xi + yi, [2 * i for i in xi],
+                    [2 * i + 1 for i in yi])
+    flow = net.maxflow(limit)
     if flow > limit:
         return None, None
-    core = net.residual_coreachable(sink)
-    far = frozenset(v for v in g.vertices
-                    if (v, 1) in core and (v, 0) not in core)
+    far = net.min_cut(near_sink=True)
     if len(far) != flow:
         return None, None
     return flow, far
@@ -374,20 +415,21 @@ def important_separators(g: CutGraph, x_set: Sequence[str], y_set: Sequence[str]
     if xs0 & ys0:
         return []
     candidates: set = set()
-
-    def rec(g_cur: CutGraph, xs: frozenset, committed: frozenset, budget: int):
+    # depth-first: delete the first vertex of the farthest minimum
+    # separator, or move it to the X side
+    stack = [(g, xs0, frozenset(), k)]
+    while stack:
+        g_cur, xs, committed, budget = stack.pop()
         lam, far = _farthest_min_sep(g_cur, xs, ys0, budget)
         if lam is None:
-            return
+            continue
         if lam == 0:
             candidates.add(committed)
-            return
-        v = sorted(far)[0]
+            continue
+        v = min(far)
+        stack.append((g_cur, xs | {v}, committed, budget))
         if budget >= 1:
-            rec(g_cur.without({v}), xs, committed | {v}, budget - 1)
-        rec(g_cur, xs | {v}, committed, budget)
-
-    rec(g, xs0, frozenset(), k)
+            stack.append((g_cur.without({v}), xs, committed | {v}, budget - 1))
 
     out = []
     for s in sorted(candidates, key=lambda s: (len(s), sorted(s))):
@@ -407,7 +449,6 @@ def multiway_cut(g: CutGraph, terminals: Sequence, k: int) -> Optional[frozenset
     """
     groups = [frozenset({t}) if isinstance(t, str) else frozenset(t)
               for t in terminals]
-    term_vertices = frozenset().union(*groups) if groups else frozenset()
 
     def violated(cut: frozenset) -> Optional[tuple[int, int]]:
         comp_of = {}
@@ -421,28 +462,26 @@ def multiway_cut(g: CutGraph, terminals: Sequence, k: int) -> Optional[frozenset
         return None
 
     best: Optional[frozenset] = None
-
-    def rec(cut: frozenset, budget: int):
-        nonlocal best
+    stack = [(frozenset(), k)]  # depth-first, smallest separators first
+    while stack:
+        cut, budget = stack.pop()
         if best is not None and len(cut) >= len(best):
-            return
+            continue
         pair = violated(cut)
         if pair is None:
-            if best is None or len(cut) < len(best):
-                best = cut
-            return
+            best = cut
+            continue
         if budget == 0:
-            return
+            continue
         i, _ = pair
         g2 = g.without(cut)
-        xs = [v for v in groups[i] if v in set(g2.vertices)]
+        present = set(g2.vertices)
+        xs = [v for v in groups[i] if v in present]
         ys = [v for grp in groups[:i] + groups[i + 1:] for v in grp
-              if v in set(g2.vertices)]
+              if v in present]
         g2 = g2.make_undeletable(set(xs) | set(ys))
-        for sep in important_separators(g2, xs, ys, budget):
-            rec(cut | sep, budget - len(sep))
-
-    rec(frozenset(), k)
+        seps = important_separators(g2, xs, ys, budget)
+        stack.extend((cut | sep, budget - len(sep)) for sep in reversed(seps))
     if best is not None and len(best) <= k:
         return best
     return None

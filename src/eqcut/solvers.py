@@ -14,7 +14,7 @@ from .cutgraph import (
     components,
     min_vertex_separator,
     multiway_cut,
-    separates,
+    reachable,
 )
 from .instances import (
     Assignment,
@@ -61,9 +61,15 @@ class StrictSteinerStats:
 
 
 def _tset_satisfied(g: CutGraph, cut: Iterable[str], tset: Sequence[str]) -> bool:
+    """Whether the cut meets the terminal set or splits it over several
+    components; a set with fewer than two terminals never counts."""
     cut = set(cut)
-    return any(separates(g, cut, a, b)
-               for a, b in itertools.combinations(sorted(set(tset)), 2))
+    terms = sorted(set(tset))
+    if len(terms) < 2:
+        return False
+    if not cut.isdisjoint(terms):
+        return True
+    return not reachable(g, terms[:1], cut).issuperset(terms)
 
 
 def strict_steiner(g: CutGraph, hub: str, t_sets: Sequence[Iterable[str]],
@@ -73,20 +79,22 @@ def strict_steiner(g: CutGraph, hub: str, t_sets: Sequence[Iterable[str]],
     hub alone satisfies every terminal set.
 
     Branches on the terminals of an unsatisfied set, recomputing the closest
-    minimum hub-side separator; its flow value strictly increases with depth.
+    minimum hub-side separator; its flow value strictly increases with depth,
+    so a branch stops once it reaches the size of the best cut found.  Of the
+    minimum cuts, the first in depth-first order is returned.
     """
     t_sets = [sorted(set(ts)) for ts in t_sets]
     for ts in t_sets:
         if not _tset_satisfied(g, {hub}, ts):
             raise ValueError("the hub does not satisfy every terminal set")
     best: Optional[frozenset] = None
-
-    def rec(y: frozenset, depth: int, prev_flow: int):
-        nonlocal best
+    stack = [(frozenset(), 0, -1)]  # (branch terminals, depth, parent flow)
+    while stack:
+        y, depth, prev_flow = stack.pop()
         w = min_vertex_separator(g, hub, sorted(y), limit=k, cut_targets=True,
                                  forbidden={hub})
         if w is None:
-            return
+            continue
         if stats is not None:
             stats.max_depth = max(stats.max_depth, depth)
             stats.flows.append((depth, len(w)))
@@ -94,30 +102,21 @@ def strict_steiner(g: CutGraph, hub: str, t_sets: Sequence[Iterable[str]],
                 stats.monotone = False
         assert depth == 0 or len(w) > prev_flow, \
             "closest-separator flow must grow along a branch"
-        if len(w) > k:
-            return
+        if len(w) > k or (best is not None and len(w) >= len(best)):
+            continue
         unsat = [ts for ts in t_sets if not _tset_satisfied(g, w, ts)]
         if not unsat:
-            if best is None or len(w) < len(best):
-                best = w
-            return
-        for t in unsat[0]:
-            if t == hub or t in y:
-                continue
-            rec(y | {t}, depth + 1, len(w))
-
-    rec(frozenset(), 0, -1)
+            best = w
+            continue
+        stack.extend((y | {t}, depth + 1, len(w)) for t in reversed(unsat[0])
+                     if t != hub and t not in y)
     return best
 
 
 def strict_steiner_opt(g: CutGraph, hub: str, t_sets: Sequence[Iterable[str]],
                        k: int) -> Optional[frozenset]:
-    """Smallest strict-Steiner cut of size <= k (ascending-budget wrapper)."""
-    for budget in range(k + 1):
-        out = strict_steiner(g, hub, t_sets, budget)
-        if out is not None:
-            return out
-    return None
+    """Smallest strict-Steiner cut of size <= k, or None if there is none."""
+    return strict_steiner(g, hub, t_sets, k)
 
 
 # ---------------------------------------------------------------------------
@@ -197,13 +196,13 @@ def compression_guesses(g: CutGraph, x: Iterable[str], k: int
                         ) -> Iterator[tuple[frozenset, Iterator]]:
     """The iterative-compression guesses around a feasible set X.
 
-    For each W within X of size <= k (by size, then in X's order) yields
+    For each W within X of size <= k (by size, then in sorted order) yields
     (W, contractions).  The contractions stream has one entry per partition
     of X - W into classes meant to stay connected: the graph G - W with
     each class contracted into an undeletable hub, the hub names, and the
     map from original name to hub.
     """
-    x_list = list(x)
+    x_list = sorted(x)
     hub_pool = _hub_names(g, len(x_list))
     for w in subsets(x_list, k):
         w = frozenset(w)
@@ -268,11 +267,11 @@ def _steiner_guess(g2: CutGraph, t_sets, hubs: list[str], renaming: dict,
         if len(hub_here) != 1:
             return None  # terminal sets stranded away from any hub
         sub_vertices = [v for v, c in comp_of.items() if c == ci]
+        inside = frozenset(sub_vertices)
         sub = CutGraph(
             tuple(sub_vertices),
-            g3.undeletable & frozenset(sub_vertices),
-            {e: mm for e, mm in g3.edges.items()
-             if e <= frozenset(sub_vertices)},
+            g3.undeletable & inside,
+            {e: mm for e, mm in g3.edges.items() if e <= inside},
         )
         try:
             cut = strict_steiner_opt(sub, hub_here[0], sets_here, remaining)

@@ -67,7 +67,7 @@ class _Implications:
 
     def __init__(self):
         self.adj: dict = {}
-        self.nodes: set = set()
+        self.nodes: dict = {}  # insertion-ordered, so runs are repeatable
 
     def add_clause(self, cl, tag):
         if len(cl) == 1:
@@ -80,8 +80,8 @@ class _Implications:
 
     def _arc(self, x, y, tag):
         self.adj.setdefault(x, []).append((y, tag))
-        self.nodes.add(x)
-        self.nodes.add(y)
+        self.nodes.setdefault(x)
+        self.nodes.setdefault(y)
 
     def unsat_variable(self):
         """A variable v with v and not-v in one strongly connected component."""

@@ -138,15 +138,53 @@ def test_strict_steiner_bad_hub_exit_code(tmp_path, capsys):
     assert code == 2 and "hub" in err
 
 
+def _subprocess_env(**extra):
+    # run the package under test even when it is not installed
+    src = str(Path(eqcut.__file__).parents[1])
+    return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_cli_entrypoint_subprocess(tmp_path):
     p = tmp_path / "eq.rel"
     p.write_text("relation eq 2\ntuple 1 1\n")
-    # run the package under test even when it is not installed
-    src = str(Path(eqcut.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "eqcut.cli", "classify", "--in", str(p)],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=_subprocess_env())
     assert proc.returncode == 0
     assert "verdict" in proc.stdout
+
+
+# Inputs whose reported solution used to follow string hashing: a set of
+# implication-graph nodes in triple-mc, the order of the start set in
+# steiner2x.
+_V = "".join(f"vertex v{i}\n" for i in range(8))
+HASH_SEED_CASES = [
+    ("triple-mc", "3", _V + "edge v0 v1\nedge v1 v6\nedge v3 v5\n"
+     "edge v4 v5\nedge v4 v6\ntriple v2 v3 v6\n"),
+    ("steiner2x", "1", _V + "edge v0 v4\nedge v1 v2\nedge v1 v5\n"
+     "edge v2 v3\nedge v2 v5\nedge v2 v6\nedge v4 v6\nedge v4 v7\n"
+     "list (v4,v7)\nlist (v5,v6)\n"),
+]
+
+
+@pytest.mark.parametrize("solver,k,text", HASH_SEED_CASES,
+                         ids=[c[0] for c in HASH_SEED_CASES])
+def test_det_report_independent_of_hash_seed(tmp_path, solver, k, text):
+    p = tmp_path / "g.graph"
+    p.write_text(text)
+    outs = [subprocess.run(
+        [sys.executable, "-m", "eqcut.cli", "solve", solver, "--in", str(p),
+         "-k", k, "--report", "machine"],
+        capture_output=True, text=True,
+        env=_subprocess_env(PYTHONHASHSEED=seed)) for seed in ("0", "1")]
+    assert all(o.returncode == 0 for o in outs)
+    assert outs[0].stdout == outs[1].stdout
+
+
+def test_nonpositive_triple_multiplicity_is_input_error(tmp_path, capsys):
+    p = tmp_path / "g.graph"
+    p.write_text("edge a b\nedge b c\ntriple a b c *-2\n")
+    code, _, err = run_cli(["solve", "triple-mc", "--in", str(p), "-k", "0"],
+                           capsys)
+    assert code == 2 and "multiplicity" in err

@@ -173,6 +173,9 @@ def test_graph_plumbing():
     assert not separates(g, set(), "a", "b")
     ts = TripleSet.of(("a", "b", "c"), (("a", "b", "c"), 2))
     assert list(ts) == [(frozenset({"a", "b", "c"}), 3)]
+    for m in (0, -2):
+        with pytest.raises(ValueError):
+            TripleSet.of((("a", "b", "c"), m))
     rl = RequestList.of(("a", "b"), ("c",))
     assert len(rl) == 2 and rl.vertices() == {"a", "b", "c"}
 

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from eqcut.cutgraph import CutGraph, separates
+from eqcut.cutgraph import CutGraph, min_vertex_separator, separates
 from eqcut.instances import Constraint, MinCspInstance, brute_force_cost, crisp, soft_assign
 from eqcut.oracles import hitting_set_opt, steiner_multicut_vertex_opt
 from eqcut.relations import NEQ, NEQ3
@@ -81,6 +81,61 @@ def test_strict_steiner_random_optimal_with_stats():
             assert mine is not None and len(mine) == len(opt)
         else:
             assert mine is None
+
+
+def _ascending_budget_strict_steiner(g, hub, t_sets, k):
+    """Reference: a full branching search per budget 0, 1, ..., k, keeping
+    the first smallest cut found at the first budget that has one."""
+    t_sets = [sorted(set(ts)) for ts in t_sets]
+
+    def satisfied(cut, ts):
+        return any(separates(g, cut, a, b)
+                   for a, b in itertools.combinations(ts, 2))
+
+    for budget in range(k + 1):
+        best = None
+
+        def rec(y, budget=budget):
+            nonlocal best
+            w = min_vertex_separator(g, hub, sorted(y), limit=budget,
+                                     cut_targets=True, forbidden={hub})
+            if w is None or len(w) > budget:
+                return
+            unsat = [ts for ts in t_sets if not satisfied(w, ts)]
+            if not unsat:
+                if best is None or len(w) < len(best):
+                    best = w
+                return
+            for t in unsat[0]:
+                if t != hub and t not in y:
+                    rec(y | {t})
+
+        rec(frozenset())
+        if best is not None:
+            return best
+    return None
+
+
+def test_strict_steiner_matches_ascending_budget_search():
+    rng = random.Random(17)
+    done = 0
+    while done < 150:
+        n = rng.randint(4, 11)
+        vs = [f"v{i}" for i in range(n)]
+        edges = [(u, v) for u, v in itertools.combinations(vs, 2)
+                 if rng.random() < 0.35]
+        hub = vs[0]
+        g = CutGraph.build(vs, edges).make_undeletable([hub])
+        t_sets = [rng.sample(vs, rng.randint(2, 3))
+                  for _ in range(rng.randint(1, 3))]
+        if not all(any(separates(g, {hub}, a, b)
+                       for a, b in itertools.combinations(sorted(set(ts)), 2))
+                   for ts in t_sets):
+            continue
+        done += 1
+        for k in range(5):
+            assert strict_steiner_opt(g, hub, t_sets, k) == \
+                _ascending_budget_strict_steiner(g, hub, t_sets, k)
 
 
 def test_steiner_2approx_examples():
