@@ -121,18 +121,14 @@ def compute_rv(g: CutGraph, r_set: Iterable[str], x_set: Iterable[str],
         return frozenset({v})
     if not (reachable(g, [v]) & x_set):
         return frozenset()
-    adj = g.adjacency()
-    if any(u in x_set for u in adj[v]) or v in r_set:
+    idx = g._index
+    names, nbrs = idx.names, idx.nbrs
+    i = idx.pos[v]
+    if any(names[u] in x_set for u in nbrs[i]) or v in r_set:
         return frozenset({v})
-    s_set = set(g.vertices) - r_set
-    comp = reachable(g, [v], deleted=r_set)
-    comp &= s_set | {v}
-    boundary = set()
-    for u in comp:
-        for w in adj[u]:
-            if w in r_set:
-                boundary.add(w)
-    return frozenset(boundary)
+    in_r = idx.mark(r_set)
+    comp = idx.visit([i], bytearray(in_r))
+    return frozenset(names[w] for u in comp for w in nbrs[u] if in_r[w])
 
 
 # ---------------------------------------------------------------------------

@@ -270,9 +270,8 @@ def parse_graph(text: str) -> GraphBundle:
                 declared.update((a, b))
         else:
             raise ParseError(lineno, f"unknown directive {head!r}")
-    for v in sorted(declared):
-        if v not in vertices:
-            vertices.append(v)
+    listed = set(vertices)
+    vertices += (v for v in sorted(declared) if v not in listed)
     g = CutGraph.build(vertices, edges, undeletable=undeletable)
     return GraphBundle(g, lists, TripleSet.of(*triples) if triples
                        else TripleSet(()), name)

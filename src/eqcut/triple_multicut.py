@@ -11,6 +11,7 @@ replaced by a budgeted deletion search over a 2-SAT implication graph.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -58,118 +59,136 @@ class CrispUnsatisfiable(ValueError):
     pass
 
 
-def _neg(lit):
-    return (lit[0], not lit[1])
+class _ImplicationGraph:
+    """Integer implication graph of a 2-CNF whose clauses carry group tags.
 
+    Literal 2*var + polarity (True is 1) and its negation is lit ^ 1; arc j
+    runs src[j] -> dst[j] and belongs to group grp[j].  `conflict` searches
+    the graph minus the arcs of masked groups, and answers as a graph built
+    from the unmasked clauses alone would: its nodes ordered by first
+    appearance, its arcs in clause order.
+    """
 
-class _Implications:
-    """Implication graph of a 2-CNF; arcs remember their source constraint."""
+    def __init__(self, tagged_clauses: Iterable):
+        num: dict = {}
+        src: list[int] = []
+        dst: list[int] = []
+        grp: list[int] = []
 
-    def __init__(self):
-        self.adj: dict = {}
-        self.nodes: dict = {}  # insertion-ordered, so runs are repeatable
+        def lit(literal):
+            var, pol = literal
+            return 2 * num.setdefault(var, len(num)) + (1 if pol else 0)
 
-    def add_clause(self, cl, tag):
-        if len(cl) == 1:
-            a = cl[0]
-            self._arc(_neg(a), a, tag)
-        else:
-            a, b = cl
-            self._arc(_neg(a), b, tag)
-            self._arc(_neg(b), a, tag)
+        for cl, tag in tagged_clauses:
+            if len(cl) == 1:
+                a = lit(cl[0])
+                src.append(a ^ 1)
+                dst.append(a)
+                grp.append(tag)
+            else:
+                a, b = lit(cl[0]), lit(cl[1])
+                src += (a ^ 1, b ^ 1)
+                dst += (b, a)
+                grp += (tag, tag)
+        self.src, self.dst, self.grp = src, dst, grp
+        self.out: list[list[int]] = [[] for _ in range(2 * len(num))]
+        for j, x in enumerate(src):
+            self.out[x].append(j)
 
-    def _arc(self, x, y, tag):
-        self.adj.setdefault(x, []).append((y, tag))
-        self.nodes.setdefault(x)
-        self.nodes.setdefault(y)
-
-    def unsat_variable(self):
-        """A variable v with v and not-v in one strongly connected component."""
-        index: dict = {}
-        low: dict = {}
-        on: set = set()
-        stack: list = []
-        scc_of: dict = {}
-        counter = [0]
-        scc_no = [0]
-        for root in self.nodes:
-            if root in index:
+    def conflict(self, masked: bytearray) -> Optional[list[int]]:
+        """None when the unmasked clauses are satisfiable, otherwise the
+        groups along one contradiction chain x -> .. -> not x -> .. -> x,
+        each path listed from its end back to its start."""
+        comp = self._components(masked)
+        if not any(map(operator.eq, comp[::2], comp[1::2])):
+            return None
+        src, dst, grp = self.src, self.dst, self.grp
+        for j in range(len(src)):
+            if masked[grp[j]]:
                 continue
-            work = [(root, iter(self.adj.get(root, ())))]
-            index[root] = low[root] = counter[0]
-            counter[0] += 1
-            stack.append(root)
-            on.add(root)
-            while work:
-                x, it = work[-1]
-                advanced = False
-                for (y, _tag) in it:
-                    if y not in index:
-                        index[y] = low[y] = counter[0]
-                        counter[0] += 1
-                        stack.append(y)
-                        on.add(y)
-                        work.append((y, iter(self.adj.get(y, ()))))
-                        advanced = True
-                        break
-                    if y in on:
-                        low[x] = min(low[x], index[y])
-                if advanced:
-                    continue
-                work.pop()
-                if work:
-                    px = work[-1][0]
-                    low[px] = min(low[px], low[x])
-                if low[x] == index[x]:
-                    while True:
-                        y = stack.pop()
-                        on.discard(y)
-                        scc_of[y] = scc_no[0]
-                        if y == x:
-                            break
-                    scc_no[0] += 1
-        for node in self.nodes:
-            v, pol = node
-            if pol and (v, False) in scc_of and scc_of[node] == scc_of[(v, False)]:
-                return v
+            for x in (src[j], dst[j]):
+                if x & 1 and comp[x] == comp[x ^ 1]:
+                    return self._path(x, x ^ 1, masked) + self._path(x ^ 1, x, masked)
         return None
 
-    def path_tags(self, src, dst) -> Optional[list]:
-        if src == dst:
-            return []
-        parent: dict = {src: None}
-        queue = [src]
-        qi = 0
-        while qi < len(queue):
-            x = queue[qi]
-            qi += 1
-            for (y, tag) in self.adj.get(x, ()):
-                if y not in parent:
-                    parent[y] = (x, tag)
-                    if y == dst:
-                        tags = []
-                        cur = y
-                        while parent[cur] is not None:
-                            cur, t = parent[cur]
-                            tags.append(t)
-                        return tags
-                    queue.append(y)
-        return None
+    def _components(self, masked: bytearray) -> list[int]:
+        """Strongly connected component of every literal (Tarjan, iterative)."""
+        out, dst, grp = self.out, self.dst, self.grp
+        n = len(out)
+        index = [-1] * n
+        low = [0] * n
+        comp = [-1] * n
+        on_stack = bytearray(n)
+        stack: list[int] = []
+        counter = ncomp = 0
+        for root in range(n):
+            if index[root] >= 0:
+                continue
+            index[root] = low[root] = counter
+            counter += 1
+            stack.append(root)
+            on_stack[root] = 1
+            call = [(root, iter(out[root]))]
+            while call:
+                x, arcs = call[-1]
+                for j in arcs:
+                    if masked[grp[j]]:
+                        continue
+                    y = dst[j]
+                    if index[y] < 0:
+                        index[y] = low[y] = counter
+                        counter += 1
+                        stack.append(y)
+                        on_stack[y] = 1
+                        call.append((y, iter(out[y])))
+                        break
+                    if on_stack[y] and index[y] < low[x]:
+                        low[x] = index[y]
+                else:
+                    call.pop()
+                    if call and low[x] < low[call[-1][0]]:
+                        low[call[-1][0]] = low[x]
+                    if low[x] == index[x]:
+                        while True:
+                            y = stack.pop()
+                            on_stack[y] = 0
+                            comp[y] = ncomp
+                            if y == x:
+                                break
+                        ncomp += 1
+        return comp
+
+    def _path(self, start: int, end: int, masked: bytearray) -> list[int]:
+        """Groups of the arcs on a shortest start -> end path over unmasked
+        arcs (breadth-first, arcs in clause order), from the end back."""
+        out, dst, grp = self.out, self.dst, self.grp
+        via = {start: -1}
+        queue = [start]
+        for x in queue:
+            for j in out[x]:
+                if masked[grp[j]]:
+                    continue
+                y = dst[j]
+                if y in via:
+                    continue
+                via[y] = j
+                if y == end:
+                    tags = []
+                    while via[y] >= 0:
+                        tags.append(grp[via[y]])
+                        y = self.src[via[y]]
+                    return tags
+                queue.append(y)
+        raise AssertionError("no path inside a strongly connected component")
 
 
 def two_sat_conflict(clauses: Iterable, origins: Iterable) -> Optional[list]:
     """None when the 2-CNF is satisfiable, otherwise origin tags along one
     contradiction chain (x -> .. -> not x -> .. -> x)."""
-    imp = _Implications()
-    for cl, tag in zip(clauses, origins):
-        imp.add_clause(cl, tag)
-    v = imp.unsat_variable()
-    if v is None:
-        return None
-    p1 = imp.path_tags((v, True), (v, False))
-    p2 = imp.path_tags((v, False), (v, True))
-    assert p1 is not None and p2 is not None
-    return p1 + p2
+    pairs = list(zip(clauses, origins))
+    graph = _ImplicationGraph((cl, i) for i, (cl, _tag) in enumerate(pairs))
+    chain = graph.conflict(bytearray(len(pairs)))
+    return None if chain is None else [pairs[i][1] for i in chain]
 
 
 def boolean_solve(inst: BooleanInstance, budget: Optional[int] = None
@@ -178,13 +197,18 @@ def boolean_solve(inst: BooleanInstance, budget: Optional[int] = None
     satisfiable, within the budget, or None.
 
     Branching: any valid deletion set must meet the soft groups found on a
-    contradiction chain, so branch over exactly those.
+    contradiction chain, so branch over exactly those.  One implication
+    graph holds the crisp clauses (group 0) and every soft group (1..);
+    a branch masks the groups it removed.
     """
     budget = inst.budget if budget is None else budget
-    if two_sat_conflict(inst.crisp_clauses,
-                        [None] * len(inst.crisp_clauses)) is not None:
+    soft = [None, *{g.ident: g for g in inst.soft_groups}.values()]
+    graph = _ImplicationGraph(itertools.chain(
+        ((cl, 0) for cl in inst.crisp_clauses),
+        ((cl, gi) for gi in range(1, len(soft)) for cl in soft[gi].clauses)))
+    if graph.conflict(bytearray([0]) + bytearray([1]) * (len(soft) - 1)) is not None:
         raise CrispUnsatisfiable("crisp 2-CNF has no satisfying assignment")
-    groups = {g.ident: g for g in inst.soft_groups}
+    masked = bytearray(len(soft))
 
     best: Optional[tuple[int, frozenset]] = None
 
@@ -192,26 +216,20 @@ def boolean_solve(inst: BooleanInstance, budget: Optional[int] = None
         nonlocal best
         if best is not None and spent >= best[0]:
             return
-        clauses = list(inst.crisp_clauses)
-        origins: list = [None] * len(clauses)
-        for ident, g in groups.items():
-            if ident in removed:
-                continue
-            for cl in g.clauses:
-                clauses.append(cl)
-                origins.append(ident)
-        chain = two_sat_conflict(clauses, origins)
+        chain = graph.conflict(masked)
         if chain is None:
             if best is None or spent < best[0]:
                 best = (spent, removed)
             return
-        tags = [t for t in dict.fromkeys(chain) if t is not None]
+        tags = [t for t in dict.fromkeys(chain) if t]
         if not tags:
             return  # contradiction among crisp clauses alone
-        for ident in tags:
-            w = groups[ident].weight
+        for gi in tags:
+            w = soft[gi].weight
             if spent + w <= budget:
-                rec(removed | {ident}, spent + w)
+                masked[gi] = 1
+                rec(removed | {soft[gi].ident}, spent + w)
+                masked[gi] = 0
 
     rec(frozenset(), 0)
     return best[1] if best is not None else None
@@ -296,16 +314,33 @@ def decode_boolean_solution(removed: frozenset) -> tuple[frozenset, frozenset]:
 # Full solver.
 
 
-def _quotient_classes(g: CutGraph, xs: Sequence[str]) -> list[list[str]]:
-    """Merge guessed vertices no deletable cut can separate: adjacent pairs
-    and pairs joined through undeletable-only paths."""
+def _quotient_classes(g: CutGraph, xs: Sequence[str]
+                      ) -> tuple[list[list[str]], list[str]]:
+    """Merge guessed vertices that every surviving alpha puts together:
+    pairs joined through undeletable-only paths, which no deletable cut
+    separates, and adjacent pairs, whose split the pins and the crisp edge
+    implications make crisp-unsatisfiable.
+
+    Also returns the order in which an alpha lists one component's
+    vertices: grouped by undeletable-reach class, classes by first vertex.
+    The encoding's clause order follows the alpha's, and with it which of
+    several cheapest deletion sets `boolean_solve` returns.
+    """
     xs = list(dict.fromkeys(xs))
     undel_reach = {}
     for v in xs:
         blocked = [u for u in g.vertices if g.deletable(u) and u != v]
         undel_reach[v] = reachable(g, [v], blocked)
-    root = union_classes(xs, ((a, b) for a, b in itertools.combinations(xs, 2)
-                              if b in undel_reach[a]))
+    tied = [(a, b) for a, b in itertools.combinations(xs, 2)
+            if b in undel_reach[a]]
+    order = _classes(xs, union_classes(xs, tied))
+    adjacent = [(a, b) for a, b in itertools.combinations(xs, 2)
+                if frozenset({a, b}) in g.edges]
+    classes = _classes(xs, union_classes(xs, tied + adjacent))
+    return classes, [v for cls in order for v in cls]
+
+
+def _classes(xs: list[str], root: dict) -> list[list[str]]:
     out: dict = {}
     for v in xs:
         out.setdefault(root[v], []).append(v)
@@ -313,9 +348,11 @@ def _quotient_classes(g: CutGraph, xs: Sequence[str]) -> list[list[str]]:
 
 
 def _alpha_partitions(g: CutGraph, classes: list[list[str]],
-                      protected: Sequence[frozenset]) -> Iterable[dict]:
+                      protected: Sequence[frozenset],
+                      order: Sequence[str]) -> Iterable[dict]:
     """Assignments of the quotient classes into intended components, grown
-    incrementally under the component and triple-distinctness constraints."""
+    incrementally under the component and triple-distinctness constraints.
+    Each alpha lists its vertices by component, then in the given order."""
     comp_of: dict = {}
     for ci, comp in enumerate(components(g)):
         for v in comp:
@@ -342,12 +379,12 @@ def _alpha_partitions(g: CutGraph, classes: list[list[str]],
 
     def rec(i: int, groups: list[list[int]]):
         if i == n:
-            alpha = {}
+            label = {}
             for gi, grp in enumerate(groups, start=1):
                 for ci in grp:
                     for v in classes[ci]:
-                        alpha[v] = gi
-            yield alpha
+                        label[v] = gi
+            yield {v: label[v] for v in sorted(order, key=label.__getitem__)}
             return
         for gi, grp in enumerate(groups):
             if class_comp[grp[0]] != class_comp[i]:
@@ -406,8 +443,8 @@ def triple_multicut(g: CutGraph, triples: TripleSet, k: int
             rem_x = [v for t in protected for v in sorted(t)
                      if v not in set(w_v)]
             rem_x = list(dict.fromkeys(rem_x))
-            classes = _quotient_classes(g1, rem_x)
-            for alpha in _alpha_partitions(g1, classes, protected):
+            classes, order = _quotient_classes(g1, rem_x)
+            for alpha in _alpha_partitions(g1, classes, protected, order):
                 try:
                     binst = build_boolean_instance(g1, live, alpha, k - spent,
                                                    protected)

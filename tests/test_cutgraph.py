@@ -92,6 +92,12 @@ def test_important_separators_examples():
     gp2 = CutGraph.build("xaby", [("x", "a"), ("a", "b"), ("b", "y")])
     assert important_separators(gp2, ["x"], ["y"], 1) == [frozenset({"b"})]
     assert important_separators(gp, ["x"], ["y"], 0) == []
+    # the larger {a1, a2, b} is important too: its X-side {x, a} is maximal
+    gp3 = CutGraph.build(["x", "a", "b", "a1", "a2", "y"],
+                         [("x", "a"), ("x", "b"), ("a", "a1"), ("a", "a2"),
+                          ("a1", "y"), ("a2", "y"), ("b", "y")])
+    assert important_separators(gp3, ["x"], ["y"], 3) == [
+        frozenset({"a", "b"}), frozenset({"a1", "a2", "b"})]
 
 
 def _important_oracle(g, xs, ys, k):

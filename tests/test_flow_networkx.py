@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from eqcut.cutgraph import (  # noqa: E402
     CutGraph,
     components,
+    important_separators,
     min_vertex_separator,
     reachable,
 )
@@ -103,3 +104,33 @@ def test_components_and_reachable_match_networkx(data):
     want = set().union(*(nx.node_connected_component(h, v)
                          for v in sources if v not in deleted))
     assert reachable(g, sources, deleted) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_important_separators_match_networkx(data):
+    """Every important X-Y separator of size at most k, from the definition:
+    an inclusion-minimal separator of deletable vertices outside X and Y
+    such that no separator of its size or smaller has a strictly larger
+    X-side.  The X-side is what networkx connects to X once the cut is gone."""
+    g = data.draw(graphs(max_n=8))
+    xs = data.draw(st.lists(st.sampled_from(g.vertices), min_size=1,
+                            max_size=min(2, len(g.vertices) - 1), unique=True))
+    ys = data.draw(st.lists(st.sampled_from([v for v in g.vertices
+                                             if v not in xs]),
+                            min_size=1, max_size=2, unique=True))
+    k = data.draw(st.integers(0, 3))
+    cand = [v for v in g.vertices
+            if g.deletable(v) and v not in xs and v not in ys]
+    sides = {}
+    for size in range(k + 1):
+        for cut in itertools.combinations(cand, size):
+            h = _undirected(g, cut)
+            side = set().union(*(nx.node_connected_component(h, x) for x in xs))
+            if not side & set(ys):
+                sides[frozenset(cut)] = side
+    want = [s for s in sides
+            if all(s - {v} not in sides for v in s)
+            and not any(len(o) <= len(s) and sides[s] < sides[o] for o in sides)]
+    want.sort(key=lambda s: (len(s), sorted(s)))
+    assert important_separators(g, xs, ys, k) == want

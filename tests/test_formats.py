@@ -104,6 +104,15 @@ def test_parse_graph_errors():
         parse_graph("vertex v strange\n")
 
 
+def test_parse_graph_vertex_order():
+    # declared vertices first, in file order; names first seen in edge,
+    # triple or list lines follow in sorted order
+    text = ("vertex m\nvertex b undeletable\nedge z a\ntriple y b c\n"
+            "list (x,m) (q,q)\nvertex m\n")
+    assert parse_graph(text).graph.vertices == ("m", "b", "a", "c", "q",
+                                                 "x", "y", "z")
+
+
 def test_graph_singleton_list():
     bundle = parse_graph("graph g\nvertex s\nlist (s,s)\n")
     (lst,) = bundle.lists

@@ -9,6 +9,8 @@ from eqcut.triple_multicut import (
     BooleanInstance,
     CrispUnsatisfiable,
     SoftGroup,
+    _alpha_partitions,
+    _quotient_classes,
     boolean_solve,
     build_boolean_instance,
     triple_multicut,
@@ -84,6 +86,30 @@ def test_boolean_solve():
     # budget too small
     inst4 = BooleanInstance((x,), crisp_cl, softs, 0)
     assert boolean_solve(inst4) is None
+
+
+def test_quotient_classes_merge_adjacent_guessed_vertices():
+    g = CutGraph.build("abcd", [("a", "b"), ("b", "c")])
+    classes, order = _quotient_classes(g, ["a", "d", "b"])
+    assert classes == [["a", "b"], ["d"]]
+    assert order == ["a", "d", "b"]
+    # c joins a through the undeletable u, b joins a by an edge: one class,
+    # and an alpha lists a's undeletable-reach class {a, c} before b
+    g2 = CutGraph.build("abcu", [("a", "u"), ("u", "c"), ("a", "b")],
+                        undeletable={"c", "u"})
+    classes, order = _quotient_classes(g2, ["a", "b", "c"])
+    assert classes == [["a", "b", "c"]]
+    (alpha,) = _alpha_partitions(g2, classes, [], order)
+    assert list(alpha.items()) == [("a", 1), ("c", 1), ("b", 1)]
+
+
+def test_triple_multicut_answer_is_pinned():
+    # one of several optimal cuts; the search order picks v4
+    g = CutGraph.build([f"v{i}" for i in range(7)],
+                       [("v0", "v1"), ("v1", "v6"), ("v3", "v5"),
+                        ("v4", "v5"), ("v4", "v6")])
+    res = triple_multicut(g, TripleSet.of(("v2", "v3", "v6")), 3)
+    assert res.feasible and res.z_v == {"v4"} and not res.z_t
 
 
 def test_triple_multicut_examples():
