@@ -31,7 +31,7 @@ def _digest(text: str) -> str:
 
 
 def _report(args, payload: dict, started: float) -> dict:
-    rep = {"command": " ".join(sys.argv[1:]), **payload}
+    rep = {"command": " ".join(args.argv), **payload}
     if getattr(args, "mode", "det") != "det":
         rep["wall_clock_ms"] = round(1000 * (time.time() - started), 3)
     return rep
@@ -348,7 +348,10 @@ def main(argv=None) -> int:
     p.add_argument("--report", choices=["text", "machine"], default="text")
     p.set_defaults(func=cmd_verify_lemmas)
 
+    if argv is None:
+        argv = sys.argv[1:]
     args = parser.parse_args(argv)
+    args.argv = argv
     try:
         return args.func(args)
     except (formats.ParseError, FileNotFoundError, ValueError) as e:

@@ -261,6 +261,26 @@ def shadow(g: CutGraph, deleted: Iterable[str], t_set: Iterable[str]) -> set:
     return {v for v, m in zip(idx.names, mark) if not m}
 
 
+def triple_multicut_feasible(g: CutGraph, triples: TripleSet,
+                             z_v: Iterable[str], z_t: Iterable[frozenset]) -> bool:
+    """Whether deleting the vertices z_v and the triples z_t leaves the
+    surviving vertices of every other triple in pairwise distinct components."""
+    z_v, z_t = set(z_v), set(z_t)
+    if any(not g.deletable(v) for v in z_v):
+        return False
+    comp_of: dict = {}
+    for i, comp in enumerate(components(g, z_v)):
+        for v in comp:
+            comp_of[v] = i
+    for tri, _m in triples:
+        if tri in z_t:
+            continue
+        survivors = [comp_of[v] for v in tri if v in comp_of]
+        if len(survivors) != len(set(survivors)):
+            return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # Vertex-capacity flow.
 

@@ -141,7 +141,6 @@ class SimplifyBranch:
     lists: tuple
     budget: int
     deleted: frozenset          # W union M, in original vertex names
-    renaming: dict              # original name -> hub name
 
 
 class MeasureViolation(AssertionError):
@@ -192,8 +191,7 @@ def _apply_rules(g3: CutGraph, lists: Sequence[RequestList], x2: Sequence[str],
     return out
 
 
-def simplify(g: CutGraph, lists: Sequence[RequestList], k: int,
-             compression: Optional[frozenset] = None
+def simplify(g: CutGraph, lists: Sequence[RequestList], k: int
              ) -> Iterator[SimplifyBranch]:
     """Branch stream over (W, partition, shadow cover) guesses.
 
@@ -201,8 +199,7 @@ def simplify(g: CutGraph, lists: Sequence[RequestList], k: int,
     |L'| <= k^2 |L|; on some branch the cost at most doubles whenever the
     input cost is within k.
     """
-    if compression is None:
-        compression = _oracle_compression(g, lists)
+    compression = _oracle_compression(g, lists)
     if compression is None:
         return
     mu_in = family_mu(lists)
@@ -228,8 +225,7 @@ def simplify(g: CutGraph, lists: Sequence[RequestList], k: int,
                 if out_lists:
                     assert family_mu(out_lists) <= mu_in - 1
                 assert len(out_lists) <= max(1, k * k) * max(1, len(lists))
-                yield SimplifyBranch(g3, out_lists, 2 * k,
-                                     frozenset(w | m), renaming)
+                yield SimplifyBranch(g3, out_lists, 2 * k, frozenset(w | m))
 
 
 def _rename_list(lst: RequestList, renaming: dict) -> RequestList:
@@ -255,17 +251,13 @@ class DjmcResult:
     accepted: bool
     solution: frozenset = frozenset()
     factor_bound: int = 0
-    iterations: int = 0
 
 
-def solve_djmc(g: CutGraph, lists: Sequence[RequestList], k: int,
-               d: Optional[int] = None) -> DjmcResult:
+def solve_djmc(g: CutGraph, lists: Sequence[RequestList], k: int) -> DjmcResult:
     """Iterate Simplify while non-singleton requests remain, then finish by
     hitting-set branching; the assembled solution is verified feasible."""
     lists = list(lists)
-    if d is None:
-        d = max((len(l) for l in lists), default=1)
-    depth_bound = 3 * d + 1
+    depth_bound = 3 * max((len(l) for l in lists), default=1) + 1
 
     def endgame(gg: CutGraph, ll: Sequence[RequestList], budget: int
                 ) -> Optional[frozenset]:
@@ -298,5 +290,4 @@ def solve_djmc(g: CutGraph, lists: Sequence[RequestList], k: int,
     if out is None:
         return DjmcResult(False)
     assert all(list_satisfied(g, out, l) for l in lists)
-    return DjmcResult(True, out, factor_bound=(1 << depth_bound) * max(k, 1),
-                      iterations=depth_bound)
+    return DjmcResult(True, out, factor_bound=(1 << depth_bound) * max(k, 1))

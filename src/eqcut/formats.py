@@ -30,6 +30,17 @@ class ParseError(ValueError):
         self.lineno = lineno
 
 
+def _split_multiplicity(words: list[str], lineno: int) -> tuple[list[str], int]:
+    """The words before an optional trailing `*m`, and the multiplicity m
+    (1 when absent)."""
+    if words and words[-1].startswith("*"):
+        try:
+            return words[:-1], int(words[-1][1:])
+        except ValueError:
+            raise ParseError(lineno, f"bad multiplicity {words[-1]!r}")
+    return words, 1
+
+
 _LITERAL = re.compile(r"^x(\d+)\s*(!?=)\s*x(\d+)$")
 
 
@@ -163,14 +174,7 @@ def parse_instance(text: str, language: Optional[EqLanguage] = None
             constraints.append(Constraint(None, (var,), kind,
                                           int(mult) if mult else 1, val))
         elif head in ("crisp", "soft"):
-            mult = 1
-            scope_words = words[2:]
-            if scope_words and scope_words[-1].startswith("*"):
-                try:
-                    mult = int(scope_words[-1][1:])
-                except ValueError:
-                    raise ParseError(lineno, f"bad multiplicity {scope_words[-1]!r}")
-                scope_words = scope_words[:-1]
+            scope_words, mult = _split_multiplicity(words[2:], lineno)
             if len(words) < 3:
                 raise ParseError(lineno, "expected: crisp|soft REL vars...")
             rel = lookup(words[1], lineno)
@@ -240,21 +244,13 @@ def parse_graph(text: str) -> GraphBundle:
                     raise ParseError(lineno, f"unknown modifier {words[2]!r}")
                 undeletable.add(words[1])
         elif head == "edge":
-            mult = 1
-            rest = words[1:]
-            if rest and rest[-1].startswith("*"):
-                mult = int(rest[-1][1:])
-                rest = rest[:-1]
+            rest, mult = _split_multiplicity(words[1:], lineno)
             if len(rest) != 2:
                 raise ParseError(lineno, "expected: edge U V [*m]")
             edges.append((rest[0], rest[1], mult))
             declared.update(rest)
         elif head == "triple":
-            mult = 1
-            rest = words[1:]
-            if rest and rest[-1].startswith("*"):
-                mult = int(rest[-1][1:])
-                rest = rest[:-1]
+            rest, mult = _split_multiplicity(words[1:], lineno)
             if len(rest) != 3 or len(set(rest)) != 3:
                 raise ParseError(lineno, "expected: triple U V W (distinct)")
             triples.append((frozenset(rest), mult))

@@ -106,12 +106,8 @@ def mincsp_to_triple_multicut(inst: MinCspInstance, k: int
             continue
         if nc.relation.is_empty():
             if c.kind == "crisp":
-                return TripleMulticutReduction(
-                    CutGraph.build(["a", "b", "c"],
-                                   [("a", "b"), ("b", "c"), ("a", "c")],
-                                   undeletable={"a", "b", "c"}),
-                    TripleSet.of(("a", "b", "c")), 0, infeasible=True,
-                    notes=("crisp constraint unsatisfiable",))
+                notes = ["crisp constraint unsatisfiable"]
+                break
             offset += nc.multiplicity
             notes.append(f"always-violated soft constraint costs {nc.multiplicity}")
             continue
@@ -137,18 +133,17 @@ def mincsp_to_triple_multicut(inst: MinCspInstance, k: int
             for q in sorted(q_set):
                 triples.append(
                     (frozenset({z, f"v:{scope[q - 1]}", dummy}), triple_mult))
-
-    budget = k - offset
-    if budget < 0:
-        return TripleMulticutReduction(
-            CutGraph.build(["a", "b", "c"],
-                           [("a", "b"), ("b", "c"), ("a", "c")],
-                           undeletable={"a", "b", "c"}),
-            TripleSet.of(("a", "b", "c")), 0, infeasible=True,
-            notes=tuple(notes) + ("offset exceeds budget",))
-    g = CutGraph.build(vertices, edges, undeletable=undeletable)
-    return TripleMulticutReduction(g, TripleSet.of(*triples), budget,
-                                   notes=tuple(notes))
+    else:
+        if offset <= k:
+            g = CutGraph.build(vertices, edges, undeletable=undeletable)
+            return TripleMulticutReduction(g, TripleSet.of(*triples), k - offset,
+                                           notes=tuple(notes))
+        notes.append("offset exceeds budget")
+    # a crisp contradiction or an offset over the budget: a fixed no-instance
+    return TripleMulticutReduction(
+        CutGraph.build(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")],
+                       undeletable={"a", "b", "c"}),
+        TripleSet.of(("a", "b", "c")), 0, infeasible=True, notes=tuple(notes))
 
 
 # ---------------------------------------------------------------------------
@@ -254,18 +249,10 @@ def rneq_to_disjunctive_multicut(inst: MinCspInstance
             offset += nc.multiplicity
             continue
         rel, scope = nc.relation, nc.scope
-        if _is_eq_rel(rel):
-            for _ in range(nc.multiplicity if nc.kind == "soft" else 1):
-                zc += 1
-                z = f"z:{zc}"
-                vertices.append(z)
-                if nc.kind == "crisp":
-                    undeletable.add(z)
-                edges.append((f"x:{scope[0]}", z))
-                edges.append((f"x:{scope[1]}", z))
-            continue
+        is_eq = _is_eq_rel(rel)
         d = rel.arity // 2
-        if rel.arity != 2 * d or rel.tuples != rneq_relation(d).tuples:
+        if not is_eq and (rel.arity != 2 * d
+                          or rel.tuples != rneq_relation(d).tuples):
             raise ReductionError(
                 f"relation {rel.name} is not a disjunction of disequalities")
         for _ in range(nc.multiplicity if nc.kind == "soft" else 1):
@@ -274,9 +261,13 @@ def rneq_to_disjunctive_multicut(inst: MinCspInstance
             vertices.append(z)
             if nc.kind == "crisp":
                 undeletable.add(z)
-            pairs = [(f"x:{scope[2 * i]}", f"x:{scope[2 * i + 1]}")
-                     for i in range(d)]
-            lists.append(RequestList.of(*(pairs + [(z,)])))
+            if is_eq:
+                edges.append((f"x:{scope[0]}", z))
+                edges.append((f"x:{scope[1]}", z))
+            else:
+                pairs = [(f"x:{scope[2 * i]}", f"x:{scope[2 * i + 1]}")
+                         for i in range(d)]
+                lists.append(RequestList.of(*pairs, (z,)))
     g = CutGraph.build(vertices, edges, undeletable=undeletable)
     return g, lists, offset
 
@@ -292,14 +283,10 @@ class WheelGadget:
     instance: MinCspInstance
     variant: str = "weighted"
 
-    def forward(self, i: int) -> int:
-        return (i + self.t) % (2 * self.t + 1)
-
 
 def _wheel_constraints(names: Sequence[str], t: int, variant: str,
                        paired: Iterable[int] = (),
-                       crisp_eq_edges: Iterable[int] = ()
-                       ) -> tuple[list[Constraint], dict]:
+                       crisp_eq_edges: Iterable[int] = ()) -> list[Constraint]:
     """Cycle equalities and forward-partner disequalities for a wheel on
     2t+1 variables.  Disequality indices listed in `paired` are omitted
     (their constraint is replaced elsewhere); cycle-edge indices in
@@ -314,34 +301,25 @@ def _wheel_constraints(names: Sequence[str], t: int, variant: str,
             cons.append(crisp(EQ, u, v))
         else:
             cons.append(soft(EQ, u, v, m=2 if variant == "weighted" else 1))
-    diseqs: dict = {}
     for i in range(n):
-        u, v = names[i], names[(i + t) % n]
+        if i in paired:
+            continue
         if variant == "weighted":
             kind = "soft" if 1 <= i <= t else "crisp"
         else:
             kind = "crisp" if i == 0 else "soft"
-        diseqs[i] = (u, v, kind)
-        if i in paired:
-            continue
-        cons.append(Constraint(NEQ, (u, v), kind, 1))
-    return cons, diseqs
+        cons.append(Constraint(NEQ, (names[i], names[(i + t) % n]), kind, 1))
+    return cons
 
 
-def wheel(s_labels: Sequence, variant: str = "weighted",
-          prefix: str = "w") -> WheelGadget:
+def wheel(s_labels: Sequence, variant: str = "weighted") -> WheelGadget:
     """The choice gadget over a set of size t >= 2."""
     t = len(s_labels)
     if t < 2:
         raise ReductionError("choice gadget needs a set of size at least two")
-    return _wheel_unchecked(t, variant, prefix)
-
-
-def _wheel_unchecked(t: int, variant: str = "weighted",
-                     prefix: str = "w") -> WheelGadget:
-    names = tuple(f"{prefix}{i}" for i in range(2 * t + 1))
-    cons, _ = _wheel_constraints(names, t, variant)
-    inst = MinCspInstance.build(f"wheel_t{t}", cons, names)
+    names = tuple(f"w{i}" for i in range(2 * t + 1))
+    inst = MinCspInstance.build(f"wheel_t{t}",
+                                _wheel_constraints(names, t, variant), names)
     return WheelGadget(t, names, inst, variant)
 
 
@@ -485,16 +463,7 @@ def strip_flow_paths(g: CutGraph, s: str, t: str, k: int) -> list[list[str]]:
     return paths
 
 
-def _ensure_decompositions(spc: SplitPairedCutInstance,
-                           need1: bool, need2: bool) -> None:
-    if need1 and spc.f1 is None:
-        spc.f1 = strip_flow_paths(spc.g1, spc.s1, spc.t1, spc.k)
-    if need2 and spc.f2 is None:
-        spc.f2 = strip_flow_paths(spc.g2, spc.s2, spc.t2, spc.k)
-
-
-def spc_to_eq_eq(spc: SplitPairedCutInstance,
-                 rel: EqRelation = R_AND_EQ_EQ) -> tuple[MinCspInstance, int]:
+def spc_to_eq_eq(spc: SplitPairedCutInstance) -> tuple[MinCspInstance, int]:
     """Crisp equality for unpaired edges, one soft paired constraint per pair."""
     paired1 = {frozenset(e1) for e1, _ in spc.pairs}
     paired2 = {frozenset(e2) for _, e2 in spc.pairs}
@@ -507,106 +476,86 @@ def spc_to_eq_eq(spc: SplitPairedCutInstance,
     cons.append(crisp(NEQ, spc.s1, spc.t1))
     cons.append(crisp(NEQ, spc.s2, spc.t2))
     for (u1, v1), (u2, v2) in spc.pairs:
-        cons.append(soft(rel, u1, v1, u2, v2))
+        cons.append(soft(R_AND_EQ_EQ, u1, v1, u2, v2))
     vars_all = list(spc.g1.vertices) + list(spc.g2.vertices)
     return MinCspInstance.build("spc_eq_eq", cons, vars_all), spc.k
 
 
-def _wheel_over_path(path: list[str], tag: str, variant: str = "weighted"
-                     ) -> tuple[tuple[str, ...], int]:
-    p = len(path) - 1
-    names = tuple(path) + tuple(f"{tag}.r{j}" for j in range(p + 1, 2 * p + 1))
-    return names, p
+def _path_wheels(paths: Sequence[list[str]], side: int, paired: set
+                 ) -> tuple[list[Constraint], list[str], dict]:
+    """A weighted choice gadget over each flow path of one side.
+
+    A path of p edges supplies the first p+1 of the wheel's 2p+1 variables,
+    so its edges are the first p cycle edges: crisp unless paired.  A paired
+    edge's forward-partner disequality is left out, for the pair's constraint
+    to replace.  Returns the constraints, the wheel variables, and the
+    variables of that disequality per paired edge.
+    """
+    cons: list[Constraint] = []
+    names_all: list[str] = []
+    partners: dict = {}
+    for pno, path in enumerate(paths):
+        p = len(path) - 1
+        names = tuple(path) + tuple(f"g{side}p{pno}.r{j}"
+                                    for j in range(p + 1, 2 * p + 1))
+        names_all.extend(names)
+        paired_idx = []
+        crisp_eq = []
+        for i in range(1, p + 1):
+            e = frozenset({path[i - 1], path[i]})
+            if e in paired:
+                paired_idx.append(i)
+                partners[e] = (names[i], names[(i + p) % (2 * p + 1)])
+            else:
+                crisp_eq.append(i - 1)
+        cons.extend(_wheel_constraints(names, p, "weighted", paired_idx, crisp_eq))
+    return cons, names_all, partners
 
 
-def spc_to_neq_neq(spc: SplitPairedCutInstance,
-                   rel: EqRelation = R_AND_NEQ_NEQ) -> tuple[MinCspInstance, int]:
+def spc_to_neq_neq(spc: SplitPairedCutInstance) -> tuple[MinCspInstance, int]:
     """Choice gadget per flow path on both sides; paired edges share one soft
     constraint on the two forward-partner disequalities.
 
     The budget is 9k: each of the 2k wheels must drop two doubled equalities
     (cost 8k) and the k paired constraints supply the third deletions.
     """
-    _ensure_decompositions(spc, True, True)
-    edge_info: dict = {}
-    cons: list[Constraint] = []
-    all_names: list[str] = []
-    paired_edges = {frozenset(e1) for e1, _ in spc.pairs} | \
-                   {frozenset(e2) for _, e2 in spc.pairs}
-
-    for side, (g, paths) in enumerate(((spc.g1, spc.f1), (spc.g2, spc.f2)), 1):
-        for pno, path in enumerate(paths):
-            tag = f"g{side}p{pno}"
-            names, p = _wheel_over_path(path, tag)
-            all_names.extend(names)
-            paired_idx = []
-            crisp_eq = []
-            for i in range(1, p + 1):
-                e = frozenset({path[i - 1], path[i]})
-                if e in paired_edges:
-                    paired_idx.append(i)
-                    edge_info[e] = (names[i], names[(i + p) % (2 * p + 1)])
-                else:
-                    crisp_eq.append(i - 1)
-            wc, _ = _wheel_constraints(names, p, "weighted",
-                                       paired=paired_idx,
-                                       crisp_eq_edges=crisp_eq)
-            cons.extend(wc)
+    f1 = strip_flow_paths(spc.g1, spc.s1, spc.t1, spc.k) if spc.f1 is None else spc.f1
+    f2 = strip_flow_paths(spc.g2, spc.s2, spc.t2, spc.k) if spc.f2 is None else spc.f2
+    cons, names1, ends1 = _path_wheels(f1, 1, {frozenset(e1) for e1, _ in spc.pairs})
+    cons2, names2, ends2 = _path_wheels(f2, 2, {frozenset(e2) for _, e2 in spc.pairs})
+    cons += cons2
     for (e1, e2) in spc.pairs:
-        a, fa = edge_info[frozenset(e1)]
-        b, fb = edge_info[frozenset(e2)]
-        cons.append(soft(rel, a, fa, b, fb))
-    return MinCspInstance.build("spc_neq_neq", cons, all_names), 9 * spc.k
+        cons.append(soft(R_AND_NEQ_NEQ, *ends1[frozenset(e1)], *ends2[frozenset(e2)]))
+    return MinCspInstance.build("spc_neq_neq", cons, names1 + names2), 9 * spc.k
 
 
-def spc_to_eq_neq(spc: SplitPairedCutInstance,
-                  rel: EqRelation = R_AND_EQ_NEQ) -> tuple[MinCspInstance, int]:
+def spc_to_eq_neq(spc: SplitPairedCutInstance) -> tuple[MinCspInstance, int]:
     """Plain equalities on the first graph, choice gadgets on the second;
     each pair joins a first-graph edge with a wheel disequality.  Budget 5k."""
-    _ensure_decompositions(spc, False, True)
-    paired1 = {frozenset(e1): e1 for e1, _ in spc.pairs}
-    paired2 = {frozenset(e2) for _, e2 in spc.pairs}
+    f2 = strip_flow_paths(spc.g2, spc.s2, spc.t2, spc.k) if spc.f2 is None else spc.f2
+    paired1 = {frozenset(e1) for e1, _ in spc.pairs}
     cons: list[Constraint] = []
     for e in sorted(spc.g1.edges, key=sorted):
         if e not in paired1:
             u, v = sorted(e)
             cons.append(crisp(EQ, u, v))
     cons.append(crisp(NEQ, spc.s1, spc.t1))
-    edge_info: dict = {}
-    all_names = list(spc.g1.vertices)
-    for pno, path in enumerate(spc.f2):
-        tag = f"g2p{pno}"
-        names, p = _wheel_over_path(path, tag)
-        all_names.extend(names)
-        paired_idx = []
-        crisp_eq = []
-        for i in range(1, p + 1):
-            e = frozenset({path[i - 1], path[i]})
-            if e in paired2:
-                paired_idx.append(i)
-                edge_info[e] = (names[i], names[(i + p) % (2 * p + 1)])
-            else:
-                crisp_eq.append(i - 1)
-        wc, _ = _wheel_constraints(names, p, "weighted", paired=paired_idx,
-                                   crisp_eq_edges=crisp_eq)
-        cons.extend(wc)
+    wheels, names2, ends2 = _path_wheels(f2, 2, {frozenset(e2) for _, e2 in spc.pairs})
+    cons += wheels
     for (e1, e2) in spc.pairs:
-        u, v = e1
-        b, fb = edge_info[frozenset(e2)]
-        cons.append(soft(rel, u, v, b, fb))
-    return MinCspInstance.build("spc_eq_neq", cons, all_names), 5 * spc.k
+        cons.append(soft(R_AND_EQ_NEQ, *e1, *ends2[frozenset(e2)]))
+    return (MinCspInstance.build("spc_eq_neq", cons, list(spc.g1.vertices) + names2),
+            5 * spc.k)
 
 
 # ---------------------------------------------------------------------------
 # Multicoloured Independent Set -> MinCSP(R_vee_neq_neq, =)
 
 
-def mis_to_disjneqneq(g: CutGraph, classes: Sequence[Sequence[str]], k: int,
-                      rel: Optional[EqRelation] = None
+def mis_to_disjneqneq(g: CutGraph, classes: Sequence[Sequence[str]], k: int
                       ) -> tuple[MinCspInstance, int]:
     """Full choice gadget per colour class, a crisp disjunctive-disequality
     constraint per edge, budget 5k."""
-    rel = rel or R_VEE_NEQ_NEQ
     if k != len(classes):
         raise ReductionError("k must equal the number of colour classes")
     flat = [v for cl in classes for v in cl]
@@ -619,8 +568,7 @@ def mis_to_disjneqneq(g: CutGraph, classes: Sequence[Sequence[str]], k: int,
         t = len(cl)
         names = tuple(f"c{i}.x{j}" for j in range(2 * t + 1))
         names_of.append(names)
-        wc, _ = _wheel_constraints(names, t, "weighted")
-        cons.extend(wc)
+        cons.extend(_wheel_constraints(names, t, "weighted"))
         for j, v in enumerate(cl, start=1):
             position[v] = (i, j, t)
     for e in sorted(g.edges, key=sorted):
@@ -630,7 +578,7 @@ def mis_to_disjneqneq(g: CutGraph, classes: Sequence[Sequence[str]], k: int,
         if iu == iv:
             continue  # intra-class edges never block a multicoloured selection
         nu, nv = names_of[iu], names_of[iv]
-        cons.append(crisp(rel,
+        cons.append(crisp(R_VEE_NEQ_NEQ,
                           nu[ju], nu[(ju + tu) % (2 * tu + 1)],
                           nv[jv], nv[(jv + tv) % (2 * tv + 1)]))
     inst = MinCspInstance.build("mis_vee", cons)
@@ -642,7 +590,7 @@ def mis_to_disjneqneq(g: CutGraph, classes: Sequence[Sequence[str]], k: int,
 
 
 def odd3_nary_gadget(n: int, targets: Optional[Sequence[str]] = None,
-                     tag: str = "", kind: str = "crisp",
+                     tag: str = "",
                      anchors: Optional[tuple[str, str]] = None
                      ) -> MinCspInstance:
     """Chain gadget accepting every target tuple except all-equal-to-1 and
@@ -653,16 +601,15 @@ def odd3_nary_gadget(n: int, targets: Optional[Sequence[str]] = None,
     if len(targets) != n:
         raise ReductionError("target list length mismatch")
     z1, z2 = anchors if anchors else (f"{tag}z1", f"{tag}z2")
-    mk = crisp if kind == "crisp" else soft
     cons = [crisp_assign(z1, 1), crisp_assign(z2, 2)]
     if n == 1:
-        cons.append(mk(ODD3, z1, z2, targets[0]))
+        cons.append(crisp(ODD3, z1, z2, targets[0]))
     else:
         ys = [f"{tag}y{i}" for i in range(2, n + 1)]
-        cons.append(mk(ODD3, targets[0], targets[1], ys[0]))
+        cons.append(crisp(ODD3, targets[0], targets[1], ys[0]))
         for i in range(2, n):
-            cons.append(mk(ODD3, ys[i - 2], targets[i], ys[i - 1]))
-        cons.append(mk(ODD3, z1, z2, ys[-1]))
+            cons.append(crisp(ODD3, ys[i - 2], targets[i], ys[i - 1]))
+        cons.append(crisp(ODD3, z1, z2, ys[-1]))
     return MinCspInstance.build(f"odd3_nary_{n}", cons,
                                 primaries=tuple(targets))
 

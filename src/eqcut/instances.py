@@ -147,12 +147,6 @@ class Assignment:
     def __getitem__(self, var: str):
         return self.values[var]
 
-    def blocks(self) -> list[frozenset]:
-        by_val: dict = {}
-        for v, val in self.values.items():
-            by_val.setdefault(val, set()).add(v)
-        return [frozenset(b) for b in by_val.values()]
-
     @staticmethod
     def from_blocks(blocks: Iterable[Iterable[str]], labels: Optional[dict] = None
                     ) -> "Assignment":

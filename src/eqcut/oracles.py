@@ -9,7 +9,14 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Iterable, Optional, Sequence
 
-from .cutgraph import CutGraph, RequestList, TripleSet, components, reachable, separates
+from .cutgraph import (  # triple_multicut_feasible is re-exported
+    CutGraph,
+    RequestList,
+    TripleSet,
+    reachable,
+    separates,
+    triple_multicut_feasible,
+)
 from .instances import subsets
 
 
@@ -134,24 +141,6 @@ def djmc_cost(g: CutGraph, lists: Sequence[RequestList]) -> Optional[int]:
 
     cut = _smallest(_deletable_vertices(g), satisfied)
     return None if cut is None else len(cut)
-
-
-def triple_multicut_feasible(g: CutGraph, triples: TripleSet,
-                             z_v: Iterable[str], z_t: Iterable[frozenset]) -> bool:
-    z_v, z_t = set(z_v), set(z_t)
-    if any(not g.deletable(v) for v in z_v):
-        return False
-    comp_of: dict = {}
-    for i, comp in enumerate(components(g, z_v)):
-        for v in comp:
-            comp_of[v] = i
-    for tri, _m in triples:
-        if tri in z_t:
-            continue
-        survivors = [comp_of[v] for v in tri if v in comp_of]
-        if len(survivors) != len(set(survivors)):
-            return False
-    return True
 
 
 def triple_multicut_opt(g: CutGraph, triples: TripleSet) -> Optional[int]:

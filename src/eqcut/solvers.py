@@ -156,8 +156,7 @@ def _greedy_feasible(g: CutGraph, t_sets, k: int) -> Optional[frozenset]:
     return frozenset(chosen)
 
 
-def steiner_2approx(g: CutGraph, t_sets: Sequence[Iterable[str]], k: int,
-                    initial: Optional[frozenset] = None
+def steiner_2approx(g: CutGraph, t_sets: Sequence[Iterable[str]], k: int
                     ) -> Optional[frozenset]:
     """Accept with a feasible cut of size <= 2*OPT when OPT <= k, reject
     (returning None) when no budget b <= k admits one.
@@ -171,8 +170,7 @@ def steiner_2approx(g: CutGraph, t_sets: Sequence[Iterable[str]], k: int,
     t_sets = [sorted(set(ts)) for ts in t_sets]
     if _steiner_feasible(g, frozenset(), t_sets):
         return frozenset()
-    if initial is None:
-        initial = _greedy_feasible(g, t_sets, k)
+    initial = _greedy_feasible(g, t_sets, k)
     if initial is None:
         return None
 

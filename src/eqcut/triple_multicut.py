@@ -15,9 +15,14 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .cutgraph import CutGraph, TripleSet, components, reachable
+from .cutgraph import (
+    CutGraph,
+    TripleSet,
+    components,
+    reachable,
+    triple_multicut_feasible,
+)
 from .instances import subsets
-from .oracles import triple_multicut_feasible
 from .relations import union_classes
 
 
@@ -35,7 +40,6 @@ class SoftGroup:
 
 @dataclass
 class BooleanInstance:
-    variables: tuple
     crisp_clauses: tuple
     soft_groups: tuple
     budget: int
@@ -191,8 +195,7 @@ def two_sat_conflict(clauses: Iterable, origins: Iterable) -> Optional[list]:
     return None if chain is None else [pairs[i][1] for i in chain]
 
 
-def boolean_solve(inst: BooleanInstance, budget: Optional[int] = None
-                  ) -> Optional[frozenset]:
+def boolean_solve(inst: BooleanInstance) -> Optional[frozenset]:
     """Minimum-weight set of soft groups whose removal makes the 2-CNF
     satisfiable, within the budget, or None.
 
@@ -201,7 +204,6 @@ def boolean_solve(inst: BooleanInstance, budget: Optional[int] = None
     graph holds the crisp clauses (group 0) and every soft group (1..);
     a branch masks the groups it removed.
     """
-    budget = inst.budget if budget is None else budget
     soft = [None, *{g.ident: g for g in inst.soft_groups}.values()]
     graph = _ImplicationGraph(itertools.chain(
         ((cl, 0) for cl in inst.crisp_clauses),
@@ -226,7 +228,7 @@ def boolean_solve(inst: BooleanInstance, budget: Optional[int] = None
             return  # contradiction among crisp clauses alone
         for gi in tags:
             w = soft[gi].weight
-            if spent + w <= budget:
+            if spent + w <= inst.budget:
                 masked[gi] = 1
                 rec(removed | {soft[gi].ident}, spent + w)
                 masked[gi] = 0
@@ -262,8 +264,6 @@ def build_boolean_instance(g: CutGraph, triples: TripleSet,
 
     crisp: list = []
     softs: list[SoftGroup] = []
-    variables = [var(v, i, h)
-                 for v in g.vertices for i in range(1, d + 1) for h in (False, True)]
 
     for v in g.vertices:
         clauses = []
@@ -301,7 +301,7 @@ def build_boolean_instance(g: CutGraph, triples: TripleSet,
             )
             softs.append(SoftGroup(("triple", tri, i), clauses, weight=m))
 
-    return BooleanInstance(tuple(variables), tuple(crisp), tuple(softs), k)
+    return BooleanInstance(tuple(crisp), tuple(softs), k)
 
 
 def decode_boolean_solution(removed: frozenset) -> tuple[frozenset, frozenset]:

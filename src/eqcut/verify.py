@@ -23,9 +23,8 @@ from .instances import (
 from .relations import EQ, NAE3, NEQ, NEQ3, EqRelation, rneq_relation
 
 
-def random_graph(rng: random.Random, n: int, p: float = 0.35,
-                 prefix: str = "v") -> CutGraph:
-    vs = [f"{prefix}{i}" for i in range(n)]
+def random_graph(rng: random.Random, n: int, p: float = 0.35) -> CutGraph:
+    vs = [f"v{i}" for i in range(n)]
     edges = [(u, v) for u, v in itertools.combinations(vs, 2)
              if rng.random() < p]
     return CutGraph.build(vs, edges)
@@ -48,8 +47,8 @@ def random_split_neq3_instance(rng: random.Random, nvars: int,
     return MinCspInstance.build("rand_split", cons, vs)
 
 
-def random_rneq_instance(rng: random.Random, nvars: int, ncons: int,
-                         dmax: int = 2) -> MinCspInstance:
+def random_rneq_instance(rng: random.Random, nvars: int, ncons: int
+                         ) -> MinCspInstance:
     vs = [f"x{i}" for i in range(nvars)]
     cons = []
     for _ in range(ncons):
@@ -58,7 +57,7 @@ def random_rneq_instance(rng: random.Random, nvars: int, ncons: int,
             cons.append(Constraint(EQ, (u, v), "soft",
                                    rng.choice([1, 1, 2])))
         else:
-            d = rng.randint(1, dmax)
+            d = rng.randint(1, 2)
             if 2 * d > nvars:
                 d = 1
             scope = tuple(rng.sample(vs, 2 * d))
@@ -314,21 +313,14 @@ def check_spc(rng: random.Random, trials: int) -> bool:
             inst, k = spc_to_eq_eq(spc)
             if not brute_force_cost(inst).cost <= k:
                 return False
-            inst, k = spc_to_neq_neq(
-                SplitPairedCutInstance(g1, g2, "s1", "t1", "s2", "t2",
-                                       [(pair1, pair2)], 1))
-            if not brute_force_cost(inst).cost == k:
-                return False
-            inst, k = spc_to_eq_neq(
-                SplitPairedCutInstance(g1, g2, "s1", "t1", "s2", "t2",
-                                       [(pair1, pair2)], 1))
-            if not brute_force_cost(inst).cost == k:
-                return False
+            for build in (spc_to_neq_neq, spc_to_eq_neq):
+                inst, k = build(spc)
+                if not brute_force_cost(inst).cost == k:
+                    return False
     # a no-instance: nothing paired
     spc = SplitPairedCutInstance(g1, g2, "s1", "t1", "s2", "t2", [], 1)
     for build in (spc_to_eq_eq, spc_to_neq_neq, spc_to_eq_neq):
-        inst, k = build(SplitPairedCutInstance(
-            g1, g2, "s1", "t1", "s2", "t2", [], 1))
+        inst, k = build(spc)
         if brute_force_cost(inst).cost <= k:
             return False
     return True

@@ -3,26 +3,21 @@ import itertools
 from eqcut.relations import EqRelation, all_patterns, canonicalize
 
 
-def perm_canon(arity, tuples):
-    """Canonical key of a relation under index permutations."""
-    best = None
-    for perm in itertools.permutations(range(arity)):
-        ts = frozenset(canonicalize([t[p] for p in perm]) for t in tuples)
-        key = tuple(sorted(ts))
-        if best is None or key < best:
-            best = key
-    return best
-
-
 def relations_up_to_symmetry(arity, include_improper=False):
+    """One relation per orbit under index permutations: the orbit member
+    with the smallest pattern mask, in mask order."""
     pats = all_patterns(arity)
-    seen = set()
+    index = {p: i for i, p in enumerate(pats)}
+    # per permutation, where it sends each pattern (by index)
+    maps = [[index[canonicalize([p[q] for q in perm])] for p in pats]
+            for perm in itertools.permutations(range(arity))]
+    seen = bytearray(2 ** len(pats))
     lo = 0 if include_improper else 1
     hi = 2 ** len(pats) if include_improper else 2 ** len(pats) - 1
     for bits in range(lo, hi):
-        tuples = frozenset(pats[i] for i in range(len(pats)) if bits >> i & 1)
-        key = perm_canon(arity, tuples)
-        if key in seen:
+        if seen[bits]:
             continue
-        seen.add(key)
-        yield EqRelation("r", arity, tuples)
+        members = [i for i in range(len(pats)) if bits >> i & 1]
+        for m in maps:
+            seen[sum(1 << m[i] for i in members)] = 1
+        yield EqRelation("r", arity, frozenset(pats[i] for i in members))

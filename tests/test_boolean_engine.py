@@ -47,7 +47,7 @@ def test_two_sat_conflict_matches_brute_force(cls):
 def test_boolean_solve_matches_brute_force(crisp, groups, budget):
     softs = tuple(SoftGroup(("s", i), tuple(cls), w)
                   for i, (cls, w) in enumerate(groups))
-    inst = BooleanInstance(tuple(VARS), tuple(crisp), softs, budget)
+    inst = BooleanInstance(tuple(crisp), softs, budget)
     if not _satisfiable(crisp):
         with pytest.raises(CrispUnsatisfiable):
             boolean_solve(inst)

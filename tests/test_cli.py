@@ -129,6 +129,25 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert code == 2 and "line 2" in err
 
 
+@pytest.mark.parametrize("text,line", [
+    ("edge a b *x\n", 1),
+    ("edge a b\nedge b c\ntriple a b c *\n", 3),
+], ids=["edge", "triple"])
+def test_graph_multiplicity_error_names_line(tmp_path, capsys, text, line):
+    p = tmp_path / "g.graph"
+    p.write_text(text)
+    code, _, err = run_cli(["solve", "triple-mc", "--in", str(p), "-k", "1"],
+                           capsys)
+    assert code == 2 and f"line {line}: bad multiplicity" in err
+
+
+def test_report_command_is_the_parsed_argv(table1_path, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["host", "--flag"])
+    argv = ["classify", "--in", table1_path, "--report", "machine"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0 and json.loads(out)["command"] == " ".join(argv)
+
+
 def test_strict_steiner_bad_hub_exit_code(tmp_path, capsys):
     p = tmp_path / "g.graph"
     p.write_text("graph g\nedge a b\nvertex x\nlist (a,b)\n")

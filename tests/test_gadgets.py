@@ -190,18 +190,26 @@ def test_spc_reductions_tiny():
                                  [(("s1", "a1"), ("a2", "t2"))], 1)
     inst, k = spc_to_eq_eq(yes)
     assert brute_force_cost(inst).cost <= k
-    inst, k = spc_to_neq_neq(SplitPairedCutInstance(
-        g1, g2, "s1", "t1", "s2", "t2", [(("s1", "a1"), ("a2", "t2"))], 1))
+    inst, k = spc_to_neq_neq(yes)
     assert brute_force_cost(inst).cost == k == 9
-    inst, k = spc_to_eq_neq(SplitPairedCutInstance(
-        g1, g2, "s1", "t1", "s2", "t2", [(("s1", "a1"), ("a2", "t2"))], 1))
+    inst, k = spc_to_eq_neq(yes)
     assert brute_force_cost(inst).cost == k == 5
 
     no = SplitPairedCutInstance(g1, g2, "s1", "t1", "s2", "t2", [], 1)
     for build in (spc_to_eq_eq, spc_to_neq_neq, spc_to_eq_neq):
-        inst, k = build(SplitPairedCutInstance(
-            g1, g2, "s1", "t1", "s2", "t2", [], 1))
+        inst, k = build(no)
         assert brute_force_cost(inst).cost > k
+
+
+def test_spc_reductions_leave_input_unchanged():
+    g1 = CutGraph.build(["s1", "a1", "t1"], [("s1", "a1"), ("a1", "t1")])
+    g2 = CutGraph.build(["s2", "a2", "t2"], [("s2", "a2"), ("a2", "t2")])
+    spc = SplitPairedCutInstance(g1, g2, "s1", "t1", "s2", "t2",
+                                 [(("s1", "a1"), ("a2", "t2"))], 1)
+    for build in (spc_to_eq_eq, spc_to_neq_neq, spc_to_eq_neq):
+        first = build(spc)
+        assert spc.f1 is None and spc.f2 is None
+        assert build(spc) == first
 
 
 def test_spc_eq_eq_misaligned_pairs():

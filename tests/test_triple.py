@@ -73,18 +73,18 @@ def test_boolean_solve():
     x = ("x",)
     crisp_cl = (((x, True),),)
     softs = (SoftGroup(("s", 1), (((x, False),),)),)
-    inst = BooleanInstance((x,), crisp_cl, softs, 1)
+    inst = BooleanInstance(crisp_cl, softs, 1)
     out = boolean_solve(inst)
     assert out == frozenset({("s", 1)})
     # no conflict: nothing deleted
-    inst2 = BooleanInstance((x,), crisp_cl, (), 0)
+    inst2 = BooleanInstance(crisp_cl, (), 0)
     assert boolean_solve(inst2) == frozenset()
     # crisp contradiction
-    inst3 = BooleanInstance((x,), (((x, True),), ((x, False),)), (), 3)
+    inst3 = BooleanInstance((((x, True),), ((x, False),)), (), 3)
     with pytest.raises(CrispUnsatisfiable):
         boolean_solve(inst3)
     # budget too small
-    inst4 = BooleanInstance((x,), crisp_cl, softs, 0)
+    inst4 = BooleanInstance(crisp_cl, softs, 0)
     assert boolean_solve(inst4) is None
 
 
