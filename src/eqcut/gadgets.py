@@ -408,8 +408,6 @@ class SplitPairedCutInstance:
     t2: str
     pairs: list            # ((u1, v1), (u2, v2)) edge pairs
     k: int
-    f1: Optional[list] = None   # list of paths, each a vertex sequence
-    f2: Optional[list] = None
 
     def __post_init__(self):
         if set(self.g1.vertices) & set(self.g2.vertices):
@@ -519,8 +517,8 @@ def spc_to_neq_neq(spc: SplitPairedCutInstance) -> tuple[MinCspInstance, int]:
     The budget is 9k: each of the 2k wheels must drop two doubled equalities
     (cost 8k) and the k paired constraints supply the third deletions.
     """
-    f1 = strip_flow_paths(spc.g1, spc.s1, spc.t1, spc.k) if spc.f1 is None else spc.f1
-    f2 = strip_flow_paths(spc.g2, spc.s2, spc.t2, spc.k) if spc.f2 is None else spc.f2
+    f1 = strip_flow_paths(spc.g1, spc.s1, spc.t1, spc.k)
+    f2 = strip_flow_paths(spc.g2, spc.s2, spc.t2, spc.k)
     cons, names1, ends1 = _path_wheels(f1, 1, {frozenset(e1) for e1, _ in spc.pairs})
     cons2, names2, ends2 = _path_wheels(f2, 2, {frozenset(e2) for _, e2 in spc.pairs})
     cons += cons2
@@ -532,7 +530,7 @@ def spc_to_neq_neq(spc: SplitPairedCutInstance) -> tuple[MinCspInstance, int]:
 def spc_to_eq_neq(spc: SplitPairedCutInstance) -> tuple[MinCspInstance, int]:
     """Plain equalities on the first graph, choice gadgets on the second;
     each pair joins a first-graph edge with a wheel disequality.  Budget 5k."""
-    f2 = strip_flow_paths(spc.g2, spc.s2, spc.t2, spc.k) if spc.f2 is None else spc.f2
+    f2 = strip_flow_paths(spc.g2, spc.s2, spc.t2, spc.k)
     paired1 = {frozenset(e1) for e1, _ in spc.pairs}
     cons: list[Constraint] = []
     for e in sorted(spc.g1.edges, key=sorted):

@@ -132,19 +132,24 @@ def clause_satisfied(t: Sequence[int], cl: Iterable) -> bool:
     return any(literal_satisfied(t, lit) for lit in cl)
 
 
-def clause_in_fragment(cl: frozenset, fragment: str) -> bool:
+def _fragment_allows(width: int, npos: int, fragment: str) -> bool:
+    """Whether a clause of this width with npos = literals lies in the fragment."""
     if fragment == "unrestricted":
         return True
-    npos = sum(1 for (_, _, op) in cl if op == EQ_OP)
     if fragment == "horn":
         return npos <= 1
     if fragment == "negative":
-        return npos == 0 or (npos == 1 and len(cl) == 1)
+        return npos == 0 or (npos == 1 and width == 1)
     if fragment == "strictly_negative":
         return npos == 0
     if fragment == "conjunctive":
-        return len(cl) == 1
+        return width == 1
     raise ValueError(f"unknown fragment {fragment!r}")
+
+
+def clause_in_fragment(cl: frozenset, fragment: str) -> bool:
+    npos = sum(1 for (_, _, op) in cl if op == EQ_OP)
+    return _fragment_allows(len(cl), npos, fragment)
 
 
 @dataclass(frozen=True)
@@ -222,34 +227,9 @@ def project(rel: EqRelation, indices: Sequence[int]) -> EqRelation:
     return EqRelation(f"{rel.name}|{indices}", len(indices), tuples)
 
 
-def _all_clauses_of_width(arity: int, width: int) -> Iterator[frozenset]:
-    pairs = list(itertools.combinations(range(1, arity + 1), 2))
-    for chosen in itertools.combinations(pairs, width):
-        for ops in itertools.product((EQ_OP, NEQ_OP), repeat=width):
-            yield frozenset(
-                literal(i, j, op) for (i, j), op in zip(chosen, ops)
-            )
-
-
 @lru_cache(maxsize=None)
 def _pattern_bits(arity: int) -> dict:
     return {t: 1 << i for i, t in enumerate(all_patterns(arity))}
-
-
-@lru_cache(maxsize=None)
-def _clause_models(arity: int) -> tuple:
-    """Every clause over the arity with its model set as a bitmask, ordered
-    by width so that minimality pruning can scan in one pass."""
-    bits = _pattern_bits(arity)
-    out = []
-    for width in range(1, arity * (arity - 1) // 2 + 1):
-        for cl in _all_clauses_of_width(arity, width):
-            mask = 0
-            for t, b in bits.items():
-                if clause_satisfied(t, cl):
-                    mask |= b
-            out.append((cl, mask))
-    return tuple(out)
 
 
 def relation_mask(rel: EqRelation) -> int:
@@ -260,21 +240,117 @@ def relation_mask(rel: EqRelation) -> int:
     return m
 
 
+@lru_cache(maxsize=None)
+def _literal_masks(arity: int) -> dict:
+    """Model set of each of the 2*C(arity, 2) literals as a bitmask over
+    all_patterns(arity); a clause's model set is the OR of its literals'."""
+    full = (1 << len(all_patterns(arity))) - 1
+    out = {}
+    for i, j in itertools.combinations(range(1, arity + 1), 2):
+        eq = 0
+        for t, b in _pattern_bits(arity).items():
+            if t[i - 1] == t[j - 1]:
+                eq |= b
+        out[(i, j, EQ_OP)] = eq
+        out[(i, j, NEQ_OP)] = full ^ eq
+    return out
+
+
+def _clause_mask(cl: Iterable, lit_masks: dict) -> int:
+    mask = 0
+    for lit in cl:
+        mask |= lit_masks[lit]
+    return mask
+
+
+@lru_cache(maxsize=None)
+def _falsified_literals(arity: int) -> tuple:
+    """Per pattern, in all_patterns order, the literals it falsifies as masks:
+    (the != literals of its equal pairs, their OR, the = literals of its
+    unequal pairs)."""
+    lit_masks = _literal_masks(arity)
+    pairs = list(itertools.combinations(range(1, arity + 1), 2))
+    out = []
+    for t in all_patterns(arity):
+        neq = [(i, j, NEQ_OP) for i, j in pairs if t[i - 1] == t[j - 1]]
+        eq = [(i, j, EQ_OP) for i, j in pairs if t[i - 1] != t[j - 1]]
+        out.append((tuple(lit_masks[lit] for lit in neq),
+                    _clause_mask(neq, lit_masks),
+                    tuple(lit_masks[lit] for lit in eq)))
+    return tuple(out)
+
+
+def _witnessed(fragment: str, rmask: int, neq: tuple, n: int, eq: tuple) -> bool:
+    """Whether the relation with model mask rmask entails a fragment clause
+    whose literals are all false at a pattern that falsifies exactly the
+    != literals neq (OR n) and the = literals eq.  Fragments are closed
+    under subclauses, so only the maximal such clauses need testing."""
+
+    def entailed(mask):
+        return mask & rmask == rmask
+
+    if fragment == "horn":
+        if eq:
+            return any(entailed(n | e) for e in eq)
+        return bool(neq) and entailed(n)
+    if fragment == "negative":
+        return (bool(neq) and entailed(n)) or any(entailed(e) for e in eq)
+    if fragment == "strictly_negative":
+        return bool(neq) and entailed(n)
+    if fragment == "conjunctive":
+        return any(entailed(m) for m in neq) or any(entailed(e) for e in eq)
+    # unrestricted: the clause of all the pattern's false literals excludes
+    # that pattern alone, so it is entailed whenever it is not empty
+    return bool(neq or eq)
+
+
+def _definable(rel: EqRelation, fragment: str) -> bool:
+    """Whether rel is definable in the fragment: every pattern outside rel
+    falsifies some fragment clause that rel entails."""
+    if fragment not in FRAGMENTS:
+        raise ValueError(f"unknown fragment {fragment!r}")
+    rmask = relation_mask(rel)
+    for b, (neq, n, eq) in enumerate(_falsified_literals(rel.arity)):
+        if not rmask >> b & 1 and not _witnessed(fragment, rmask, neq, n, eq):
+            return False
+    return True
+
+
 def entailed_clauses(rel: EqRelation, fragment: str) -> set:
     """All inclusion-minimal clauses of the fragment satisfied by every tuple of rel."""
     if fragment not in FRAGMENTS:
         raise ValueError(f"unknown fragment {fragment!r}")
     rmask = relation_mask(rel)
-    found: set = set()
-    for cl, mask in _clause_models(rel.arity):
-        if rmask & mask != rmask:
-            continue
-        if not clause_in_fragment(cl, fragment):
-            continue
-        if any(prev < cl for prev in found):
-            continue
-        found.add(cl)
-    return found
+    lit_masks = _literal_masks(rel.arity)
+    pairs = list(itertools.combinations(range(1, rel.arity + 1), 2))
+    found = []
+
+    def entailed(mask):
+        return mask & rmask == rmask
+
+    def grow(lits, mask, npos, start):
+        # lits is empty or a fragment clause rel does not entail.  Fragments
+        # are closed under subclauses, and every extension of an entailed
+        # clause is non-minimal, so only such clauses are extended.
+        for k in range(start, len(pairs)):
+            for op in (EQ_OP, NEQ_OP):
+                pos = npos + (op == EQ_OP)
+                if not _fragment_allows(len(lits) + 1, pos, fragment):
+                    continue
+                ext = lits + [(*pairs[k], op)]
+                ext_mask = mask | lit_masks[ext[-1]]
+                if not entailed(ext_mask):
+                    grow(ext, ext_mask, pos, k + 1)
+                elif not any(entailed(_clause_mask(ext[:m] + ext[m + 1:], lit_masks))
+                             for m in range(len(lits))):
+                    found.append(ext)
+
+    grow([], 0, 0, 0)
+    # insert by width, then in combinations x product order (= before !=),
+    # the order of a scan over every clause
+    found.sort(key=lambda lits: (len(lits), [(i, j) for i, j, _ in lits],
+                                 [op == NEQ_OP for _, _, op in lits]))
+    return {frozenset(lits) for lits in found}
 
 
 def is_tautological_clause(cl: frozenset, arity: int) -> bool:
@@ -285,17 +361,12 @@ def definable_in_fragment(rel: EqRelation, fragment: str) -> Optional[CnfFormula
     """Defining CNF in the fragment, or None.
 
     The conjunction of all entailed fragment clauses is the strongest fragment
-    formula implied by the relation, so the relation is fragment-definable
-    exactly when that conjunction has the relation as its model set.
+    formula implied by the relation, so when the relation is definable at all
+    that conjunction defines it.
     """
-    clauses = entailed_clauses(rel, fragment)
-    masks = dict(_clause_models(rel.arity))
-    conj = (1 << len(all_patterns(rel.arity))) - 1
-    for cl in clauses:
-        conj &= masks[cl]
-    if conj == relation_mask(rel):
-        return CnfFormula(rel.arity, frozenset(clauses))
-    return None
+    if not _definable(rel, fragment):
+        return None
+    return CnfFormula(rel.arity, frozenset(entailed_clauses(rel, fragment)))
 
 
 def minimal_definition(rel: EqRelation, fragment: str) -> Optional[CnfFormula]:
@@ -303,7 +374,7 @@ def minimal_definition(rel: EqRelation, fragment: str) -> Optional[CnfFormula]:
     phi = definable_in_fragment(rel, fragment)
     if phi is None:
         return None
-    masks = dict(_clause_models(rel.arity))
+    lit_masks = _literal_masks(rel.arity)
     rmask = relation_mask(rel)
     full = (1 << len(all_patterns(rel.arity))) - 1
     kept = sorted(phi.clauses, key=lambda cl: (-len(cl), sorted(cl)))
@@ -311,26 +382,26 @@ def minimal_definition(rel: EqRelation, fragment: str) -> Optional[CnfFormula]:
         trial = [c for c in kept if c != cl]
         conj = full
         for c in trial:
-            conj &= masks[c]
+            conj &= _clause_mask(c, lit_masks)
         if conj == rmask:
             kept = trial
     return CnfFormula(rel.arity, frozenset(kept))
 
 
 def is_horn(rel: EqRelation) -> bool:
-    return definable_in_fragment(rel, "horn") is not None
+    return _definable(rel, "horn")
 
 
 def is_negative(rel: EqRelation) -> bool:
-    return definable_in_fragment(rel, "negative") is not None
+    return _definable(rel, "negative")
 
 
 def is_strictly_negative(rel: EqRelation) -> bool:
-    return definable_in_fragment(rel, "strictly_negative") is not None
+    return _definable(rel, "strictly_negative")
 
 
 def is_conjunctive(rel: EqRelation) -> bool:
-    return definable_in_fragment(rel, "conjunctive") is not None
+    return _definable(rel, "conjunctive")
 
 
 def split_tuples(arity: int, p_set: frozenset, q_set: frozenset) -> frozenset:

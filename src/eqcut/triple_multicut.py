@@ -317,9 +317,9 @@ def decode_boolean_solution(removed: frozenset) -> tuple[frozenset, frozenset]:
 def _quotient_classes(g: CutGraph, xs: Sequence[str]
                       ) -> tuple[list[list[str]], list[str]]:
     """Merge guessed vertices that every surviving alpha puts together:
-    pairs joined through undeletable-only paths, which no deletable cut
-    separates, and adjacent pairs, whose split the pins and the crisp edge
-    implications make crisp-unsatisfiable.
+    pairs joined by an edge or by a path whose inner vertices are all
+    undeletable, whose split the pins and the crisp edge implications make
+    crisp-unsatisfiable.
 
     Also returns the order in which an alpha lists one component's
     vertices: grouped by undeletable-reach class, classes by first vertex.
@@ -334,9 +334,12 @@ def _quotient_classes(g: CutGraph, xs: Sequence[str]
     tied = [(a, b) for a, b in itertools.combinations(xs, 2)
             if b in undel_reach[a]]
     order = _classes(xs, union_classes(xs, tied))
-    adjacent = [(a, b) for a, b in itertools.combinations(xs, 2)
-                if frozenset({a, b}) in g.edges]
-    classes = _classes(xs, union_classes(xs, tied + adjacent))
+    idx = g._index
+    near = {v: undel_reach[v].union(idx.names[j] for u in undel_reach[v]
+                                    for j in idx.nbrs[idx.pos[u]])
+            for v in xs}
+    joined = [(a, b) for a, b in itertools.combinations(xs, 2) if b in near[a]]
+    classes = _classes(xs, union_classes(xs, joined))
     return classes, [v for cls in order for v in cls]
 
 

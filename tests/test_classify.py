@@ -12,6 +12,7 @@ from eqcut.relations import (
     NAE3,
     NEQ,
     NEQ3,
+    NEQ_OP,
     ODD3,
     R_AND_EQ_EQ,
     R_AND_EQ_NEQ,
@@ -22,6 +23,7 @@ from eqcut.relations import (
     EqRelation,
     clause,
     relation_from_cnf,
+    rneq_relation,
 )
 
 TABLE1 = [
@@ -110,3 +112,16 @@ def test_literal_vs_expanded_mode():
     assert v_plain.mincsp_classical == "P"
     v_full = classify_language(EqLanguage.of(NAE3), with_eq_neq=True)
     assert v_full.parameterized == "W[1]-hard"
+
+
+def test_arity_6_classification_needs_no_clause_table():
+    # a table of every clause over six indices would hold 3^15 - 1 clauses
+    v = classify_language(EqLanguage.of(rneq_relation(3)))
+    assert (v.csp, v.mincsp_classical, v.parameterized, v.approx) == ("P", "P", "FPT", "trivial")
+    assert v.witness == ("rneq3", "strictly-negative")
+
+    horn6 = relation_from_cnf(CnfFormula(6, frozenset({
+        clause((1, 2, EQ_OP), (3, 4, NEQ_OP)), clause((5, 6, NEQ_OP))})), 6, "horn6")
+    v = classify_language(EqLanguage.of(horn6))
+    assert v.witness == ("horn6", "horn-not-negative")
+    assert v.mincsp_classical == "NP-hard"

@@ -103,6 +103,14 @@ def test_quotient_classes_merge_adjacent_guessed_vertices():
     assert list(alpha.items()) == [("a", 1), ("c", 1), ("b", 1)]
 
 
+def test_quotient_classes_merge_through_undeletable_vertices():
+    # a and c are deletable and joined only through the undeletable u
+    g = CutGraph.build("acdu", [("a", "u"), ("u", "c")], undeletable={"u"})
+    classes, order = _quotient_classes(g, ["a", "c", "d"])
+    assert classes == [["a", "c"], ["d"]]
+    assert order == ["a", "c", "d"]
+
+
 def test_triple_multicut_answer_is_pinned():
     # one of several optimal cuts; the search order picks v4
     g = CutGraph.build([f"v{i}" for i in range(7)],
