@@ -13,6 +13,7 @@ import json
 import random
 import sys
 import time
+from functools import lru_cache
 from pathlib import Path
 
 from . import formats
@@ -59,8 +60,8 @@ def cmd_classify(args) -> int:
             verdict = classify_language(lang, with_eq_neq=args.with_eq_neq)
             payload["verdict"] = verdict.as_dict()
         else:
-            c = "inf" if args.constants == "inf" else int(args.constants)
-            verdict = classify_expansion(SingletonExpansion(lang, c))
+            verdict = classify_expansion(
+                SingletonExpansion(lang, args.constants))
             payload["verdict"] = verdict.as_dict()
     except (ImproperRelationError, ClassificationGap) as e:
         print(f"error: {e}", file=sys.stderr)
@@ -139,7 +140,10 @@ def _require_k(k):
     return k
 
 
+@lru_cache(maxsize=None)
 def _default_language() -> EqLanguage:
+    """Table 1's relations, parsed once per process; the language is frozen,
+    so every call shares it."""
     from importlib import resources
 
     text = resources.files("eqcut").joinpath("data/table1.rel").read_text()
@@ -252,6 +256,7 @@ def cmd_reduce(args) -> int:
     return EXIT_ACCEPT
 
 
+@lru_cache(maxsize=None)
 def _rneq_language() -> EqLanguage:
     from .relations import rneq_relation
 
@@ -300,7 +305,21 @@ def cmd_verify_lemmas(args) -> int:
     return EXIT_ACCEPT if not failures else EXIT_REJECT
 
 
-def main(argv=None) -> int:
+def _constants(text: str):
+    """`--constants` value: a positive count or 'inf'."""
+    if text == "inf":
+        return text
+    try:
+        c = int(text)
+    except ValueError:
+        c = 0
+    if c < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer or 'inf', got {text!r}")
+    return c
+
+
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eqcut",
         description="equality-language MinCSP classification, reductions, "
@@ -309,7 +328,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("classify", help="classify a relation file")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--constants", default=None,
+    p.add_argument("--constants", type=_constants, default=None,
                    help="classify the singleton expansion: a count or 'inf'")
     p.add_argument("--with-eq-neq", action="store_true",
                    help="add binary = and != to the language first")
@@ -347,10 +366,18 @@ def main(argv=None) -> int:
     p.add_argument("--mode", choices=["det", "random"], default="det")
     p.add_argument("--report", choices=["text", "machine"], default="text")
     p.set_defaults(func=cmd_verify_lemmas)
+    return parser
 
+
+# Built once per process: parse_args reads the parser and never changes it,
+# so repeated main() calls share it.
+_PARSER = _build_parser()
+
+
+def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     args.argv = argv
     try:
         return args.func(args)

@@ -484,7 +484,7 @@ def essential_projection(rel: EqRelation) -> tuple[EqRelation, tuple[int, ...]]:
 # Languages and a few named relations.
 
 
-@dataclass
+@dataclass(frozen=True)
 class EqLanguage:
     relations: tuple[EqRelation, ...]
 

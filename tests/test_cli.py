@@ -40,13 +40,27 @@ def test_classify_text_and_machine(table1_path, capsys):
 def test_classify_with_constants(tmp_path, capsys):
     p = tmp_path / "eq.rel"
     p.write_text("relation eq 2\ntuple 1 1\n")
-    code, out, _ = run_cli(
-        ["classify", "--in", str(p), "--constants", "inf",
-         "--report", "machine"], capsys)
-    assert code == 0
-    rep = json.loads(out)
-    assert rep["verdict"]["parameterized"] == "FPT"
-    assert rep["verdict"]["mincsp"] == "NP-hard"
+    for constants, case, mincsp in [("1", "trivial", "P"),
+                                    ("2", "boolean-equivalent", "P"),
+                                    ("inf", "positive-conjunctive-family",
+                                     "NP-hard")]:
+        code, out, _ = run_cli(
+            ["classify", "--in", str(p), "--constants", constants,
+             "--report", "machine"], capsys)
+        assert code == 0
+        verdict = json.loads(out)["verdict"]
+        assert verdict["parameterized"] == "FPT"
+        assert (verdict["case"], verdict["mincsp"]) == (case, mincsp)
+
+
+@pytest.mark.parametrize("constants", ["abc", "0", "-1"])
+def test_bad_constants_error_names_the_option(tmp_path, capsys, constants):
+    p = tmp_path / "eq.rel"
+    p.write_text("relation eq 2\ntuple 1 1\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--in", str(p), "--constants", constants])
+    assert exc.value.code == 2
+    assert "--constants" in capsys.readouterr().err
 
 
 def test_solve_oracle_wheel(tmp_path, capsys):
@@ -167,11 +181,49 @@ def _subprocess_env(**extra):
 def test_cli_entrypoint_subprocess(tmp_path):
     p = tmp_path / "eq.rel"
     p.write_text("relation eq 2\ntuple 1 1\n")
-    proc = subprocess.run(
-        [sys.executable, "-m", "eqcut.cli", "classify", "--in", str(p)],
-        capture_output=True, text=True, env=_subprocess_env())
-    assert proc.returncode == 0
-    assert "verdict" in proc.stdout
+    for module in ("eqcut.cli", "eqcut"):
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "classify", "--in", str(p)],
+            capture_output=True, text=True, env=_subprocess_env())
+        assert proc.returncode == 0
+        assert "verdict" in proc.stdout
+
+
+def test_repeated_in_process_calls_match_fresh_processes(tmp_path, capsys):
+    # main() shares one parser and the bundled languages across calls; no
+    # option value or report field may carry over from an earlier call
+    rel = tmp_path / "eq.rel"
+    rel.write_text("relation eq 2\ntuple 1 1\n")
+    inst = tmp_path / "c.inst"
+    inst.write_text("soft-assign x = 1\nsoft-assign y = 2 *2\nsoft = x y\n"
+                    "crisp odd3 x y z\n")
+    calls = [
+        ["solve", "nosuch", "--in", str(inst)],
+        ["classify", "--in", str(rel), "--constants", "1",
+         "--report", "machine"],
+        ["classify", "--in", str(rel), "--report", "machine"],
+        ["solve", "oracle", "--in", str(inst), "-k", "2",
+         "--report", "machine"],
+        ["reduce", "emulate-constants", "--in", str(inst), "--verify",
+         "--report", "machine"],
+    ]
+    in_process = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+        in_process.append((code, capsys.readouterr().out))
+    fresh = []
+    for argv in calls:
+        proc = subprocess.run(
+            [sys.executable, "-m", "eqcut.cli", *argv],
+            capture_output=True, text=True, env=_subprocess_env())
+        fresh.append((proc.returncode, proc.stdout))
+    assert [code for code, _ in in_process] == [2, 0, 0, 0, 0]
+    assert in_process == fresh
+    for argv, (_, out) in zip(calls[1:], in_process[1:]):
+        assert json.loads(out.splitlines()[-1])["command"] == " ".join(argv)
 
 
 # Inputs whose reported solution used to follow string hashing: a set of
