@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 
 @dataclass(frozen=True)
@@ -229,6 +229,25 @@ def components(g: CutGraph, deleted: Iterable[str] = ()) -> list[frozenset]:
     mark = idx.mark(deleted)
     return [frozenset(idx.names[j] for j in idx.visit([i], mark))
             for i in range(len(idx.names)) if not mark[i]]
+
+
+def component_labels(g: CutGraph, cut: Iterable[str]) -> Callable[[str], int]:
+    """The component label of a vertex in G - cut: two vertices share a
+    label exactly when neither is in the cut and G - cut connects them, and
+    every cut vertex has a negative label of its own.  Each component is
+    searched once, when one of its vertices is first asked for."""
+    idx = g._index
+    pos, mark = idx.pos, idx.mark(cut)
+    label: dict = {}
+
+    def of(v: str) -> int:
+        i = pos[v]
+        if i not in label:
+            for j in idx.visit([i], mark):
+                label[j] = i
+        return label.get(i, -1 - i)
+
+    return of
 
 
 def reachable(g: CutGraph, sources: Iterable[str], deleted: Iterable[str] = ()) -> set:

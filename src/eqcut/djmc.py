@@ -10,11 +10,12 @@ the assembled solution against the original instance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .cutgraph import (
     CutGraph,
     RequestList,
+    component_labels,
     multiway_cut,
     reachable,
     separates,
@@ -75,6 +76,28 @@ def list_satisfied(g: CutGraph, cut: Iterable[str], lst: RequestList) -> bool:
     return False
 
 
+def _list_check(g: CutGraph, cut: Iterable[str]
+                ) -> Callable[[RequestList], bool]:
+    """``list_satisfied(g, cut, ·)`` for any number of lists, from one
+    component labelling of G - cut, which searches each component at most
+    once; the cut holds vertices of g only."""
+    cut = set(cut)
+    label = component_labels(g, cut)
+
+    def check(lst: RequestList) -> bool:
+        for p in lst.pairs:
+            if len(p) == 1:
+                if next(iter(p)) in cut:
+                    return True
+            else:
+                s, t = p
+                if label(s) != label(t):
+                    return True
+        return False
+
+    return check
+
+
 # ---------------------------------------------------------------------------
 # Shadow covering, deterministic desk-scale variant.
 
@@ -103,8 +126,9 @@ def shadow_cover(g: CutGraph, t_set: Sequence[str], k: int
     the exact shadow of Y, which satisfies the covering contract with
     certainty.
     """
+    targets = set(t_set)
     candidates = [v for v in g.vertices
-                  if g.deletable(v) and v not in set(t_set)]
+                  if g.deletable(v) and v not in targets]
     for y in subsets(candidates, k):
         y = frozenset(y)
         s_set = frozenset(shadow(g, y, t_set))
@@ -116,17 +140,31 @@ def compute_rv(g: CutGraph, r_set: Iterable[str], x_set: Iterable[str],
     """The canonical X-v separator drawn from R: empty when v cannot reach X,
     v itself when v is next to X or inside R, else R's boundary around the
     shadow component of v."""
-    x_set, r_set = set(x_set), set(r_set)
+    fixed = _rv_without_r(g, set(x_set), v)
+    return fixed if fixed is not None else _rv_from_r(g, r_set, v)
+
+
+def _rv_without_r(g: CutGraph, x_set: set, v: str) -> Optional[frozenset]:
+    """The cases of compute_rv that do not look at R, or None."""
     if v in x_set:
         return frozenset({v})
     if not (reachable(g, [v]) & x_set):
         return frozenset()
     idx = g._index
-    names, nbrs = idx.names, idx.nbrs
-    i = idx.pos[v]
-    if any(names[u] in x_set for u in nbrs[i]) or v in r_set:
+    if any(idx.names[u] in x_set for u in idx.nbrs[idx.pos[v]]):
         return frozenset({v})
+    return None
+
+
+def _rv_from_r(g: CutGraph, r_set: Iterable[str], v: str) -> frozenset:
+    """compute_rv for a v outside X that reaches X but is not next to it:
+    the part that looks at R."""
+    idx = g._index
     in_r = idx.mark(r_set)
+    i = idx.pos[v]
+    if in_r[i]:
+        return frozenset({v})
+    names, nbrs = idx.names, idx.nbrs
     comp = idx.visit([i], bytearray(in_r))
     return frozenset(names[w] for u in comp for w in nbrs[u] if in_r[w])
 
@@ -143,37 +181,48 @@ class SimplifyBranch:
     deleted: frozenset          # W union M, in original vertex names
 
 
-class MeasureViolation(AssertionError):
-    pass
+def _rule_plan(g3: CutGraph, lists: Sequence[RequestList], x2: Sequence[str]
+               ) -> Optional[list]:
+    """The part of rules R1-R4 that no shadow cover changes, for one guess.
 
-
-def _apply_rules(g3: CutGraph, lists: Sequence[RequestList], x2: Sequence[str],
-                 r_set: frozenset, k: int) -> list[RequestList]:
-    out: list[RequestList] = []
+    Per list, either its R1-shortened form, or the separated pair (s, t),
+    the other pairs, and R_s and R_t where they do not depend on R (None
+    where they do).  None when the compression set fails a list: then the
+    guess is off for every cover.
+    """
     x2set = set(x2)
+    label = component_labels(g3, x2set)
+    plan: list = []
     for lst in lists:
         shortened = RequestList(frozenset(
             p for p in lst.pairs if not (len(p) == 1 and next(iter(p)) in x2set)))
         if shortened.pairs != lst.pairs:
-            out.append(shortened)
+            plan.append(shortened)
             continue
-        chosen = None
-        for p in sorted(lst.pairs, key=sorted):
-            if len(p) != 2:
-                continue
-            s, t = sorted(p)
-            if s in x2set or t in x2set or separates(g3, x2set, s, t):
-                chosen = (s, t)
-                break
+        pairs = [sorted(p) for p in sorted(lst.pairs, key=sorted) if len(p) == 2]
+        chosen = next(((s, t) for s, t in pairs if label(s) != label(t)), None)
         if chosen is None:
-            # the compression set no longer satisfies this list: the guess
-            # is off; keep the list unchanged minus nothing is unsound for
-            # the measure, so drop the branch by signalling
-            raise MeasureViolation("compression set fails a list")
+            return None
         s, t = chosen
-        rs = compute_rv(g3, r_set, x2set, s)
-        rt = compute_rv(g3, r_set, x2set, t)
         rest = frozenset(p for p in lst.pairs if p != frozenset({s, t}))
+        plan.append((s, t, rest, _rv_without_r(g3, x2set, s),
+                     _rv_without_r(g3, x2set, t)))
+    return plan
+
+
+def _apply_rules(g3: CutGraph, plan: list, r_set: frozenset, k: int
+                 ) -> list[RequestList]:
+    """Rules R1-R4 for one shadow cover, whose complement is R."""
+    out: list[RequestList] = []
+    for step in plan:
+        if isinstance(step, RequestList):
+            out.append(step)
+            continue
+        s, t, rest, rs, rt = step
+        if rs is None:
+            rs = _rv_from_r(g3, r_set, s)
+        if rt is None:
+            rt = _rv_from_r(g3, r_set, t)
         big_s, big_t = len(rs) > k, len(rt) > k
         if big_s and big_t:
             out.append(RequestList(rest))
@@ -197,7 +246,9 @@ def simplify(g: CutGraph, lists: Sequence[RequestList], k: int
 
     Each emitted branch satisfies |V'| <= |V|, nu' <= nu, mu' <= mu - 1 and
     |L'| <= k^2 |L|; on some branch the cost at most doubles whenever the
-    input cost is within k.
+    input cost is within k.  The covers of one (W, partition) guess share
+    the graph, the deleted set and the budget, so a guess emits each
+    distinct list family once.
     """
     compression = _oracle_compression(g, lists)
     if compression is None:
@@ -206,20 +257,25 @@ def simplify(g: CutGraph, lists: Sequence[RequestList], k: int
     nu_in = family_nu(lists)
 
     for w, contractions in compression_guesses(g, sorted(compression), k):
-        l1 = [l for l in lists if not list_satisfied(g, w, l)]
+        w_check = _list_check(g, w)
+        l1 = [l for l in lists if not w_check(l)]
         for g2, hubs, renaming in contractions:
             l2 = [_rename_list(l, renaming) for l in l1]
             m = multiway_cut(g2, hubs, k) if len(hubs) > 1 else frozenset()
             if m is None:
                 continue
             g3 = g2.without(m)
-            l3 = [l for l in l2 if not list_satisfied(g2, m, l)]
+            m_check = _list_check(g2, m)
+            l3 = [l for l in l2 if not m_check(l)]
+            plan = _rule_plan(g3, l3, hubs)
+            if plan is None:
+                continue
+            seen = set()
             for cover in shadow_cover(g3, hubs, k):
-                try:
-                    new_lists = _apply_rules(g3, l3, hubs, cover.r_set, k)
-                except MeasureViolation:
+                out_lists = tuple(_apply_rules(g3, plan, cover.r_set, k))
+                if out_lists in seen:
                     continue
-                out_lists = tuple(new_lists)
+                seen.add(out_lists)
                 assert len(g3.vertices) <= len(g.vertices)
                 assert family_nu(out_lists) <= nu_in
                 if out_lists:
@@ -239,7 +295,7 @@ def _oracle_compression(g: CutGraph, lists: Sequence[RequestList]
                         ) -> Optional[frozenset]:
     dels = [v for v in g.vertices if g.deletable(v)]
     return next((frozenset(cut) for cut in subsets(dels)
-                 if all(list_satisfied(g, set(cut), l) for l in lists)), None)
+                 if all(map(_list_check(g, cut), lists))), None)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +328,8 @@ def solve_djmc(g: CutGraph, lists: Sequence[RequestList], k: int) -> DjmcResult:
 
     def rec(gg: CutGraph, ll: list[RequestList], budget: int, depth: int
             ) -> Optional[frozenset]:
-        ll = [l for l in ll if not list_satisfied(gg, set(), l)]
+        check = _list_check(gg, ())
+        ll = [l for l in ll if not check(l)]
         if not ll:
             return frozenset()
         if family_mu2(ll) == 0:

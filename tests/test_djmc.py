@@ -69,6 +69,17 @@ def test_simplify_branch_invariants():
         assert br.budget == 4
 
 
+def test_simplify_yields_distinct_branches():
+    """A repeated branch would only re-run a search that already failed."""
+    g = CutGraph.build(["s", "m", "t", "u"],
+                       [("s", "m"), ("m", "t"), ("t", "u")])
+    lists = [RequestList.of(("s", "t"), ("u",)), RequestList.of(("s", "u"))]
+    branches = list(simplify(g, lists, 2))
+    assert branches
+    for a, b in itertools.combinations(branches, 2):
+        assert a != b
+
+
 def test_solve_djmc_examples():
     g = CutGraph.build("ab", [("a", "b")])
     assert solve_djmc(g, [], 1).accepted

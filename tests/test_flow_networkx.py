@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from eqcut.cutgraph import (  # noqa: E402
     CutGraph,
+    component_labels,
     components,
     important_separators,
     min_vertex_separator,
@@ -100,6 +101,11 @@ def test_components_and_reachable_match_networkx(data):
     expected = {frozenset(c) for c in nx.connected_components(h)}
     mine = components(g, deleted)
     assert len(mine) == len(expected) and set(mine) == expected
+    label = component_labels(g, deleted)
+    for u, v in itertools.combinations(g.vertices, 2):
+        same = u not in deleted and v in nx.node_connected_component(h, u)
+        assert (label(u) == label(v)) == same
+    assert all((label(v) < 0) == (v in deleted) for v in g.vertices)
     sources = data.draw(st.lists(st.sampled_from(g.vertices), max_size=3))
     want = set().union(*(nx.node_connected_component(h, v)
                          for v in sources if v not in deleted))
