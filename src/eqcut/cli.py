@@ -112,6 +112,10 @@ def cmd_solve(args) -> int:
             print("error: empty graph", file=sys.stderr)
             return EXIT_ERROR
         hub = args.hub or bundle.graph.vertices[0]
+        if hub not in bundle.graph.vertices:
+            print(f"error: --hub {hub} is not a vertex of the graph",
+                  file=sys.stderr)
+            return EXIT_ERROR
         t_sets = [sorted(lst.vertices()) for lst in bundle.lists]
         out = strict_steiner_opt(bundle.graph, hub, t_sets, _require_k(k))
         accepted = out is not None

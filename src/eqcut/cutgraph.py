@@ -9,6 +9,7 @@ built on first use and cached on the frozen graph.
 
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
@@ -309,7 +310,10 @@ class _Residual:
 
     The source feeds the start nodes and the sink drains the sink nodes,
     through infinite arcs that stay implicit.  Blocked vertices get an
-    infinite vertex arc, so no cut contains them.
+    infinite vertex arc, so no cut contains them.  Once the flow is
+    maximum, the last augmenting search has failed after reaching the
+    residual closure of the source: ``closure`` lists its nodes, and
+    ``reached[x]`` is -1 exactly for the nodes outside it.
     """
 
     def __init__(self, idx: _Index, blocked: Iterable[int],
@@ -320,20 +324,29 @@ class _Residual:
         for i in blocked:
             self.cap[2 * i] = _BIG
         self.starts, self.sinks = starts, sinks
+        self.flow = 0
+        self.reached: list[int] = []
+        self.closure: list[int] = []
+
+    def extended(self, sink: int) -> "_Residual":
+        """A copy that keeps this flow, with one more sink node."""
+        out = copy.copy(self)
+        out.cap, out.sinks = self.cap[:], self.sinks + [sink]
+        return out
 
     def maxflow(self, limit: int) -> int:
-        """Edmonds-Karp, stopping as soon as the flow exceeds the limit:
-        the maximum flow value when it is at most the limit, else some
-        value above the limit."""
+        """Edmonds-Karp from the current flow, stopping as soon as the flow
+        exceeds the limit: the maximum flow value when it is at most the
+        limit, else some value above the limit."""
         head, cap = self.head, self.cap
         at_sink = bytearray(len(self.out))
         for y in self.sinks:
             at_sink[y] = 1
-        flow = 0
+        flow = self.flow
         while flow <= limit:
             via, end = self._path(at_sink)
             if end < 0:
-                return flow
+                break
             aug, y = _BIG, end
             while via[y] >= 0:
                 aug = min(aug, cap[via[y]])
@@ -345,12 +358,14 @@ class _Residual:
                 cap[j ^ 1] += aug
                 y = head[j ^ 1]
             flow += aug
+        self.flow = flow
         return flow
 
     def _path(self, at_sink: bytearray) -> tuple[list[int], int]:
         """Breadth-first search for a shortest augmenting path: the arc
         entering each reached node (-2 at a start) and the node where the
-        path meets the sink (-1 if none)."""
+        path meets the sink (-1 if none).  A failed search is kept as the
+        closure."""
         head, out, cap = self.head, self.out, self.cap
         via = [-1] * len(out)
         queue = list(self.starts)
@@ -367,27 +382,32 @@ class _Residual:
                         if at_sink[y]:
                             return via, y
                         queue.append(y)
+        self.reached, self.closure = via, queue
         return via, -1
 
-    def min_cut(self, near_sink: bool) -> frozenset:
-        """The vertices whose vertex arc leaves the residual closure of the
-        source (the minimum cut closest to the source) or, with near_sink,
-        enters the set of nodes that reach the sink (the one closest to it)."""
+    def source_cut(self) -> frozenset:
+        """The minimum cut closest to the source: the vertices whose in-copy
+        is in the closure and whose out-copy is not."""
+        reached = self.reached
+        cut = sorted(x >> 1 for x in self.closure
+                     if not x & 1 and reached[x ^ 1] == -1)
+        return frozenset(self.names[i] for i in cut)
+
+    def sink_cut(self) -> frozenset:
+        """The minimum cut closest to the sink: the vertices whose vertex
+        arc enters the set of nodes that reach the sink."""
         head, out, cap = self.head, self.out, self.cap
-        seeds = self.sinks if near_sink else self.starts
-        flip = 1 if near_sink else 0
         seen = bytearray(len(out))
-        queue = list(seeds)
+        queue = list(self.sinks)
         for s in queue:
             seen[s] = 1
         for x in queue:
             for j in out[x]:
                 y = head[j]
-                if cap[j ^ flip] and not seen[y]:
+                if cap[j ^ 1] and not seen[y]:
                     seen[y] = 1
                     queue.append(y)
-        # vertex i is cut when one copy is in the closure and the other not
-        cut = sorted(x >> 1 for x in queue if x & 1 == flip and not seen[x ^ 1])
+        cut = sorted(x >> 1 for x in queue if x & 1 and not seen[x ^ 1])
         return frozenset(self.names[i] for i in cut)
 
 
@@ -412,10 +432,16 @@ def min_vertex_separator(g: CutGraph, s: str, targets: Sequence[str],
     side = 1 if cut_targets else 0
     net = _Residual(idx, (pos[v] for v in blocked if v in pos),
                     [2 * pos[s] + 1], [2 * pos[t] + side for t in targets])
-    flow = net.maxflow(hard_limit)
-    if flow > hard_limit:
+    return _bounded_cut(net, hard_limit)
+
+
+def _bounded_cut(net: _Residual, limit: int) -> Optional[frozenset]:
+    """The minimum cut closest to the source once the flow is maximum, or
+    None when the flow exceeds the limit or no finite cut exists."""
+    flow = net.maxflow(limit)
+    if flow > limit:
         return None
-    cut = net.min_cut(near_sink=False)
+    cut = net.source_cut()
     if flow >= _BIG or len(cut) != flow:
         return None
     return cut
@@ -433,7 +459,7 @@ def _farthest_min_sep(g: CutGraph, xs: Iterable[str], ys: Iterable[str],
     flow = net.maxflow(limit)
     if flow > limit:
         return None, None
-    far = net.min_cut(near_sink=True)
+    far = net.sink_cut()
     if len(far) != flow:
         return None, None
     return flow, far

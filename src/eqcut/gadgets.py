@@ -16,6 +16,7 @@ from .instances import (
     MinCspInstance,
     crisp,
     crisp_assign,
+    fresh_names,
     normalize_constraint,
     soft,
     soft_assign,
@@ -159,7 +160,7 @@ def hitting_set_to_odd3(elements: Sequence, sets: Sequence[Iterable], k: int
     constraints: list[Constraint] = [
         soft(EQ, f"x{a}", "z") for a in elements
     ]
-    dummy_no = 0
+    pads = fresh_names("pad", map(str, elements), 1)
     for sno, raw in enumerate(sets):
         members = sorted(set(raw))
         if not members:
@@ -167,8 +168,7 @@ def hitting_set_to_odd3(elements: Sequence, sets: Sequence[Iterable], k: int
         if any(a not in set(elements) for a in members):
             raise ReductionError("set uses unknown element")
         if len(members) == 1:
-            dummy_no += 1
-            d = f"pad{dummy_no}"
+            d = next(pads)
             constraints.append(soft(EQ, f"x{d}", "z"))
             members.append(d)
             notes.append(f"set {sno} padded with dummy element {d}")
@@ -619,14 +619,13 @@ def hitting_set_to_odd3_constants(elements: Sequence, sets: Sequence[Iterable],
     notes = []
     constraints: list[Constraint] = [soft_assign(f"x{a}", 1) for a in elements]
     anchors = ("z.one", "z.two")
-    dummy_no = 0
+    pads = fresh_names("pad", map(str, elements), 1)
     for sno, raw in enumerate(sets):
         members = sorted(set(raw))
         if not members:
             raise ReductionError("empty set can never be hit")
         if len(members) == 1:
-            dummy_no += 1
-            d = f"pad{dummy_no}"
+            d = next(pads)
             constraints.append(soft_assign(f"x{d}", 1))
             members.append(d)
             notes.append(f"set {sno} padded with dummy element {d}")
@@ -644,9 +643,13 @@ def hitting_set_to_odd3_constants(elements: Sequence, sets: Sequence[Iterable],
 
 def emulate_constants(inst: MinCspInstance) -> MinCspInstance:
     """Replace assignment constraints by equalities to pairwise-distinct
-    fresh anchor variables, one per constant in use."""
+    fresh anchor variables, one per constant in use.  The anchor of constant
+    i is t.const<i>, or a free t.const<j> when a variable has that name."""
     used = inst.constants()
-    anchors = {i: f"t.const{i}" for i in used}
+    taken = set(inst.variables)
+    spare = fresh_names("t.const", taken | {f"t.const{i}" for i in used})
+    anchors = {i: f"t.const{i}" if f"t.const{i}" not in taken else next(spare)
+               for i in used}
     cons: list[Constraint] = []
     for i, j in itertools.combinations(used, 2):
         cons.append(crisp(NEQ, anchors[i], anchors[j]))

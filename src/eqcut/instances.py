@@ -228,6 +228,14 @@ def subsets(items: Sequence, max_size: Optional[int] = None) -> Iterator[tuple]:
         yield from itertools.combinations(items, size)
 
 
+def fresh_names(prefix: str, taken: Iterable[str], start: int = 0
+                ) -> Iterator[str]:
+    """The names prefix<start>, prefix<start+1>, ... that are not taken."""
+    taken = set(taken)
+    return (name for name in (f"{prefix}{i}" for i in itertools.count(start))
+            if name not in taken)
+
+
 def _labelings(wanted: list[set]) -> Iterator[dict]:
     """Injective partial maps block-index -> constant, restricted to constants
     some member of the block is assigned to (plus the unlabeled option)."""

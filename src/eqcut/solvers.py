@@ -11,6 +11,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .cutgraph import (
     CutGraph,
+    _bounded_cut,
+    _Residual,
     components,
     min_vertex_separator,
     multiway_cut,
@@ -21,6 +23,7 @@ from .instances import (
     Constraint,
     MinCspInstance,
     _constraint_violated,
+    fresh_names,
     set_partitions,
     subsets,
 )
@@ -82,19 +85,41 @@ def strict_steiner(g: CutGraph, hub: str, t_sets: Sequence[Iterable[str]],
     minimum hub-side separator; its flow value strictly increases with depth,
     so a branch stops once it reaches the size of the best cut found.  Of the
     minimum cuts, the first in depth-first order is returned.
+
+    A branch only adds a sink, so it continues its parent's flow.  The last
+    augmenting search also gives the hub's component in G - w: the hub and
+    the vertices outside w whose in-copy it reached.
     """
+    idx = g._index
+    if hub not in idx.pos:
+        raise ValueError(f"the hub {hub!r} is not a vertex of the graph")
     t_sets = [sorted(set(ts)) for ts in t_sets]
     for ts in t_sets:
         if not _tset_satisfied(g, {hub}, ts):
             raise ValueError("the hub does not satisfy every terminal set")
+    pos, h = idx.pos, idx.pos[hub]
+
+    def satisfied(net: Optional[_Residual], w: frozenset, ts: list[str]
+                  ) -> bool:
+        if net is None or hub not in ts:
+            return _tset_satisfied(g, w, ts)
+        return not w.isdisjoint(ts) or any(
+            v != hub and (v not in pos or net.reached[2 * pos[v]] == -1)
+            for v in ts)
+
     best: Optional[frozenset] = None
-    stack = [(frozenset(), 0, -1)]  # (branch terminals, depth, parent flow)
+    root = _Residual(idx, [h], [2 * h + 1], [])
+    # (branch terminals, new terminal, depth, parent flow, parent network)
+    stack = [(frozenset(), None, 0, -1, None)]
     while stack:
-        y, depth, prev_flow = stack.pop()
-        w = min_vertex_separator(g, hub, sorted(y), limit=k, cut_targets=True,
-                                 forbidden={hub})
-        if w is None:
-            continue
+        y, t, depth, prev_flow, parent = stack.pop()
+        if t is None:
+            net, w = None, frozenset()  # the root: no sink, no flow
+        else:
+            net = parent.extended(2 * pos[t] + 1)
+            w = _bounded_cut(net, k)
+            if w is None:
+                continue
         if stats is not None:
             stats.max_depth = max(stats.max_depth, depth)
             stats.flows.append((depth, len(w)))
@@ -104,12 +129,12 @@ def strict_steiner(g: CutGraph, hub: str, t_sets: Sequence[Iterable[str]],
             "closest-separator flow must grow along a branch"
         if len(w) > k or (best is not None and len(w) >= len(best)):
             continue
-        unsat = [ts for ts in t_sets if not _tset_satisfied(g, w, ts)]
+        unsat = [ts for ts in t_sets if not satisfied(net, w, ts)]
         if not unsat:
             best = w
             continue
-        stack.extend((y | {t}, depth + 1, len(w)) for t in reversed(unsat[0])
-                     if t != hub and t not in y)
+        stack.extend((y | {u}, u, depth + 1, len(w), net or root)
+                     for u in reversed(unsat[0]) if u != hub and u not in y)
     return best
 
 
@@ -185,9 +210,7 @@ def steiner_2approx(g: CutGraph, t_sets: Sequence[Iterable[str]], k: int
 
 def _hub_names(g: CutGraph, count: int) -> list[str]:
     """The first count names #h0, #h1, ... that are not vertices of g."""
-    taken = set(g.vertices)
-    free = (h for h in (f"#h{i}" for i in itertools.count()) if h not in taken)
-    return list(itertools.islice(free, count))
+    return list(itertools.islice(fresh_names("#h", g.vertices), count))
 
 
 def compression_guesses(g: CutGraph, x: Iterable[str], k: int

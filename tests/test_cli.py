@@ -171,6 +171,41 @@ def test_strict_steiner_bad_hub_exit_code(tmp_path, capsys):
     assert code == 2 and "hub" in err
 
 
+
+@pytest.mark.parametrize("lists", ["", "list (a,b)\n"])
+def test_strict_steiner_unknown_hub_names_the_option(tmp_path, capsys, lists):
+    p = tmp_path / "g.graph"
+    p.write_text("graph g\nedge a b\n" + lists)
+    code, out, err = run_cli(
+        ["solve", "strict-steiner", "--in", str(p), "--hub", "nosuch",
+         "-k", "1"], capsys)
+    assert code == 2 and out == "" and "--hub nosuch" in err
+
+
+@pytest.mark.parametrize("name", ["hs-to-odd3", "hs-to-odd3-constants"])
+@pytest.mark.parametrize("element", ["pad1", "q1"])
+def test_hitting_set_padding_avoids_element_names(tmp_path, capsys, name,
+                                                  element):
+    p = tmp_path / "hs.txt"
+    p.write_text(f"set {element}\n")
+    code, out, _ = run_cli(["reduce", name, "--in", str(p), "-k", "1",
+                            "--verify", "--report", "machine"], capsys)
+    rep = json.loads(out.splitlines()[-1])
+    assert code == 0 and rep["oracle_equal"] is True
+    pad = "pad2" if element == "pad1" else "pad1"
+    assert rep["notes"] == [f"set 0 padded with dummy element {pad}"]
+
+
+@pytest.mark.parametrize("var", ["t.const1", "u1"])
+def test_emulate_constants_anchors_avoid_variable_names(tmp_path, capsys,
+                                                        var):
+    p = tmp_path / "c.inst"
+    p.write_text(f"var {var}\nvar y\ncrisp-assign y = 1\n"
+                 f"crisp-assign {var} = 2\n")
+    code, out, _ = run_cli(["reduce", "emulate-constants", "--in", str(p),
+                            "--verify", "--report", "machine"], capsys)
+    assert code == 0 and json.loads(out.splitlines()[-1])["oracle_equal"]
+
 def _subprocess_env(**extra):
     # run the package under test even when it is not installed
     src = str(Path(eqcut.__file__).parents[1])

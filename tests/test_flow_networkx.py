@@ -14,7 +14,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from eqcut.cutgraph import (  # noqa: E402
+    _BIG,
     CutGraph,
+    _Residual,
     component_labels,
     components,
     important_separators,
@@ -89,6 +91,58 @@ def test_min_vertex_separator_matches_networkx_flow(data):
                                     cut_targets=cut_targets,
                                     forbidden=forbidden) is None
 
+
+
+def _closure_cut(g: CutGraph, s, targets, limit, cut_targets, forbidden):
+    """Reference: the same flow, then a separate search for the residual
+    closure of the source; a vertex is cut when its in-copy is in the
+    closure and its out-copy is not."""
+    targets = [t for t in targets if t != s]
+    if not targets:
+        return frozenset()
+    limit = limit if limit is not None else len(g.vertices)
+    pos = g._index.pos
+    blocked = {s, *forbidden} if cut_targets else {s, *forbidden, *targets}
+    side = 1 if cut_targets else 0
+    net = _Residual(g._index, (pos[v] for v in blocked if v in pos),
+                    [2 * pos[s] + 1], [2 * pos[t] + side for t in targets])
+    flow = net.maxflow(limit)
+    if flow > limit:
+        return None
+    seen = bytearray(len(net.out))
+    queue = list(net.starts)
+    for x in queue:
+        seen[x] = 1
+    for x in queue:
+        for j in net.out[x]:
+            y = net.head[j]
+            if net.cap[j] and not seen[y]:
+                seen[y] = 1
+                queue.append(y)
+    cut = frozenset(g.vertices[x >> 1] for x in queue
+                    if not x & 1 and not seen[x ^ 1])
+    if flow >= _BIG or len(cut) != flow:
+        return None
+    return cut
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_min_vertex_separator_matches_closure_search(data):
+    """The cut read off the last augmenting search is the one a separate
+    closure search finds, with undeletable vertices, both target sides and
+    limits."""
+    g = data.draw(graphs(max_n=10))
+    s = data.draw(st.sampled_from(g.vertices))
+    targets = data.draw(st.lists(st.sampled_from(g.vertices), min_size=1,
+                                 max_size=3, unique=True))
+    forbidden = data.draw(st.sets(st.sampled_from(g.vertices), max_size=2))
+    cut_targets = data.draw(st.booleans())
+    limit = data.draw(st.none() | st.integers(0, 4))
+    assert min_vertex_separator(g, s, targets, limit=limit,
+                                cut_targets=cut_targets,
+                                forbidden=forbidden) == \
+        _closure_cut(g, s, targets, limit, cut_targets, forbidden)
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())

@@ -16,6 +16,7 @@ from eqcut.solvers import (
     strict_steiner,
     strict_steiner_opt,
 )
+from eqcut.verify import random_graph
 
 
 def test_hitting_set_examples():
@@ -137,6 +138,83 @@ def test_strict_steiner_matches_ascending_budget_search():
             assert strict_steiner_opt(g, hub, t_sets, k) == \
                 _ascending_budget_strict_steiner(g, hub, t_sets, k)
 
+
+
+def _per_node_flow_strict_steiner(g, hub, t_sets, k, stats):
+    """Reference: the branching of `strict_steiner` with one fresh
+    `min_vertex_separator` and one component search per node."""
+    t_sets = [sorted(set(ts)) for ts in t_sets]
+
+    def satisfied(cut, ts):
+        return any(separates(g, cut, ts[0], b) for b in ts[1:])
+
+    best = None
+    stack = [(frozenset(), 0, -1)]
+    while stack:
+        y, depth, prev_flow = stack.pop()
+        w = min_vertex_separator(g, hub, sorted(y), limit=k, cut_targets=True,
+                                 forbidden={hub})
+        if w is None:
+            continue
+        stats.max_depth = max(stats.max_depth, depth)
+        stats.flows.append((depth, len(w)))
+        if depth > 0 and len(w) <= prev_flow:
+            stats.monotone = False
+        if len(w) > k or (best is not None and len(w) >= len(best)):
+            continue
+        unsat = [ts for ts in t_sets if not satisfied(w, ts)]
+        if not unsat:
+            best = w
+            continue
+        stack.extend((y | {t}, depth + 1, len(w)) for t in reversed(unsat[0])
+                     if t != hub and t not in y)
+    return best
+
+
+def _strict_steiner_case(rng):
+    """A sparse graph with about 1/8 of its vertices undeletable, the hub
+    among them, and terminal sets that deleting the hub satisfies.  About
+    30% of the sets are drawn without the hub, and kept when the hub
+    separates them."""
+    n = rng.randint(4, 40)
+    g = random_graph(rng, n, min(1.0, 3 / n))
+    vs = list(g.vertices)
+    hub = rng.choice(vs)
+    g = g.make_undeletable([hub, *rng.sample(vs, n // 8)])
+    others = [v for v in vs if v != hub]
+    t_sets = []
+    for _ in range(rng.randint(1, 4)):
+        if rng.random() < 0.3:
+            for _try in range(5):
+                ts = rng.sample(others, min(len(others), rng.randint(2, 3)))
+                if any(separates(g, {hub}, ts[0], b) for b in ts[1:]):
+                    t_sets.append(ts)
+                    break
+        else:
+            t_sets.append([hub, *rng.sample(others, rng.randint(1, 2))])
+    return g, hub, t_sets, rng.randint(0, 4)
+
+
+def test_strict_steiner_matches_per_node_flow_reference():
+    """Continuing the parent's flow and reading the hub's component off the
+    last search change no result and no statistic."""
+    rng = random.Random(2024)
+    without_hub = 0
+    for _ in range(320):
+        g, hub, t_sets, k = _strict_steiner_case(rng)
+        without_hub += sum(hub not in ts for ts in t_sets)
+        mine, ref = StrictSteinerStats(), StrictSteinerStats()
+        got = strict_steiner(g, hub, t_sets, k, mine)
+        assert got == _per_node_flow_strict_steiner(g, hub, t_sets, k, ref)
+        assert (mine.flows, mine.max_depth, mine.monotone) == \
+            (ref.flows, ref.max_depth, ref.monotone)
+    assert without_hub >= 50
+
+
+def test_strict_steiner_rejects_unknown_hub():
+    g = CutGraph.build("ab", [("a", "b")])
+    with pytest.raises(ValueError, match="not a vertex"):
+        strict_steiner(g, "nosuch", [], 1)
 
 def test_steiner_2approx_examples():
     g = CutGraph.build(["a", "b", "c", "d"], [("a", "b")])
