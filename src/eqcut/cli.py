@@ -323,6 +323,18 @@ def _constants(text: str):
     return c
 
 
+def _budget(text: str) -> int:
+    """`-k` value: a non-negative count."""
+    try:
+        k = int(text)
+    except ValueError:
+        k = -1
+    if k < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return k
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eqcut",
@@ -344,7 +356,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("solver", choices=["djmc", "steiner2x", "strict-steiner",
                                       "triple-mc", "oracle", "neg-fpt"])
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("-k", type=int, default=None)
+    p.add_argument("-k", type=_budget, default=None)
     p.add_argument("--hub", default=None, help="hub vertex for strict-steiner")
     p.add_argument("--mode", choices=["det", "random"], default="det")
     p.add_argument("--report", choices=["text", "machine"], default="text")
@@ -357,7 +369,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                     "hs-to-odd3-constants"])
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", dest="outfile", default=None)
-    p.add_argument("-k", type=int, default=None)
+    p.add_argument("-k", type=_budget, default=None)
     p.add_argument("--verify", action="store_true")
     p.add_argument("--mode", choices=["det", "random"], default="det")
     p.add_argument("--report", choices=["text", "machine"], default="text")

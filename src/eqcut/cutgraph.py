@@ -284,21 +284,15 @@ def shadow(g: CutGraph, deleted: Iterable[str], t_set: Iterable[str]) -> set:
 def triple_multicut_feasible(g: CutGraph, triples: TripleSet,
                              z_v: Iterable[str], z_t: Iterable[frozenset]) -> bool:
     """Whether deleting the vertices z_v and the triples z_t leaves the
-    surviving vertices of every other triple in pairwise distinct components."""
+    surviving vertices of every other triple in pairwise distinct components.
+    Triple members are vertices of g; a deleted one has a label of its own,
+    so every kept triple needs three distinct labels."""
     z_v, z_t = set(z_v), set(z_t)
     if any(not g.deletable(v) for v in z_v):
         return False
-    comp_of: dict = {}
-    for i, comp in enumerate(components(g, z_v)):
-        for v in comp:
-            comp_of[v] = i
-    for tri, _m in triples:
-        if tri in z_t:
-            continue
-        survivors = [comp_of[v] for v in tri if v in comp_of]
-        if len(survivors) != len(set(survivors)):
-            return False
-    return True
+    label = component_labels(g, z_v)
+    return all(tri in z_t or len({label(v) for v in tri}) == 3
+               for tri, _m in triples)
 
 
 # ---------------------------------------------------------------------------
@@ -509,20 +503,17 @@ def multiway_cut(g: CutGraph, terminals: Sequence, k: int) -> Optional[frozenset
     """Minimum multiway cut of size <= k separating the terminal groups,
     by branching over important separators; None if none exists.
 
-    Each entry of terminals is a vertex or a group of vertices to keep
-    together; terminal vertices are excluded from deletion.
+    Each entry of terminals is a vertex of g or a group of vertices of g to
+    keep together; terminal vertices are excluded from deletion.
     """
     groups = [frozenset({t}) if isinstance(t, str) else frozenset(t)
               for t in terminals]
+    members = [(i, v) for i, grp in enumerate(groups) for v in grp]
 
     def violated(cut: frozenset) -> Optional[tuple[int, int]]:
-        comp_of = {}
-        for i, comp in enumerate(components(g, cut)):
-            for v in comp:
-                comp_of[v] = i
-        for (i, a), (j, b) in itertools.combinations(
-                [(i, v) for i, grp in enumerate(groups) for v in grp], 2):
-            if i != j and comp_of.get(a) is not None and comp_of.get(a) == comp_of.get(b):
+        label = component_labels(g, cut)
+        for (i, a), (j, b) in itertools.combinations(members, 2):
+            if i != j and label(a) == label(b):
                 return (i, j)
         return None
 

@@ -7,13 +7,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .cutgraph import (
     CutGraph,
     _bounded_cut,
     _Residual,
-    components,
+    component_labels,
     min_vertex_separator,
     multiway_cut,
     reachable,
@@ -63,16 +63,27 @@ class StrictSteinerStats:
     monotone: bool = True
 
 
-def _tset_satisfied(g: CutGraph, cut: Iterable[str], tset: Sequence[str]) -> bool:
-    """Whether the cut meets the terminal set or splits it over several
-    components; a set with fewer than two terminals never counts."""
-    cut = set(cut)
-    terms = sorted(set(tset))
-    if len(terms) < 2:
-        return False
-    if not cut.isdisjoint(terms):
-        return True
-    return not reachable(g, terms[:1], cut).issuperset(terms)
+def _tset_check(g: CutGraph, cut: Iterable[str]
+                ) -> Callable[[Iterable[str]], bool]:
+    """A test of whether the cut meets a terminal set or splits it over
+    several components, for any number of sets, from one component
+    labelling of G - cut.  A cut vertex has a label of its own, so a set is
+    satisfied when its terminals do not all share one label; a set with
+    fewer than two terminals never is."""
+    label = component_labels(g, cut)
+    return lambda ts: len({label(v) for v in ts}) > 1
+
+
+def _terminal_sets(g: CutGraph, t_sets: Sequence[Iterable[str]]
+                   ) -> list[list[str]]:
+    """Each terminal set as the sorted list of its distinct terminals;
+    ValueError for a terminal that is not a vertex of g."""
+    out = [sorted(set(ts)) for ts in t_sets]
+    pos = g._index.pos
+    for v in itertools.chain.from_iterable(out):
+        if v not in pos:
+            raise ValueError(f"the terminal {v!r} is not a vertex of the graph")
+    return out
 
 
 def strict_steiner(g: CutGraph, hub: str, t_sets: Sequence[Iterable[str]],
@@ -88,24 +99,23 @@ def strict_steiner(g: CutGraph, hub: str, t_sets: Sequence[Iterable[str]],
 
     A branch only adds a sink, so it continues its parent's flow.  The last
     augmenting search also gives the hub's component in G - w: the hub and
-    the vertices outside w whose in-copy it reached.
+    the vertices outside w whose in-copy it reached.  Sets without the hub
+    are checked from one component labelling of G - w per node.
     """
     idx = g._index
     if hub not in idx.pos:
         raise ValueError(f"the hub {hub!r} is not a vertex of the graph")
-    t_sets = [sorted(set(ts)) for ts in t_sets]
-    for ts in t_sets:
-        if not _tset_satisfied(g, {hub}, ts):
-            raise ValueError("the hub does not satisfy every terminal set")
+    t_sets = _terminal_sets(g, t_sets)
+    if not all(map(_tset_check(g, {hub}), t_sets)):
+        raise ValueError("the hub does not satisfy every terminal set")
     pos, h = idx.pos, idx.pos[hub]
 
-    def satisfied(net: Optional[_Residual], w: frozenset, ts: list[str]
-                  ) -> bool:
+    def satisfied(net: Optional[_Residual], w: frozenset, ts: list[str],
+                  check: Callable[[list[str]], bool]) -> bool:
         if net is None or hub not in ts:
-            return _tset_satisfied(g, w, ts)
+            return check(ts)
         return not w.isdisjoint(ts) or any(
-            v != hub and (v not in pos or net.reached[2 * pos[v]] == -1)
-            for v in ts)
+            v != hub and net.reached[2 * pos[v]] == -1 for v in ts)
 
     best: Optional[frozenset] = None
     root = _Residual(idx, [h], [2 * h + 1], [])
@@ -129,7 +139,8 @@ def strict_steiner(g: CutGraph, hub: str, t_sets: Sequence[Iterable[str]],
             "closest-separator flow must grow along a branch"
         if len(w) > k or (best is not None and len(w) >= len(best)):
             continue
-        unsat = [ts for ts in t_sets if not satisfied(net, w, ts)]
+        check = _tset_check(g, w)
+        unsat = [ts for ts in t_sets if not satisfied(net, w, ts, check)]
         if not unsat:
             best = w
             continue
@@ -153,7 +164,7 @@ def _steiner_feasible(g: CutGraph, cut: Iterable[str],
     cut = set(cut)
     if any(not g.deletable(v) for v in cut):
         return False
-    return all(_tset_satisfied(g, cut, ts) for ts in t_sets)
+    return all(map(_tset_check(g, cut), t_sets))
 
 
 def _greedy_feasible(g: CutGraph, t_sets, k: int) -> Optional[frozenset]:
@@ -164,7 +175,7 @@ def _greedy_feasible(g: CutGraph, t_sets, k: int) -> Optional[frozenset]:
     """
     chosen: set = set()
     for ts in t_sets:
-        if _tset_satisfied(g, chosen, ts):
+        if _tset_check(g, chosen)(ts):
             continue
         pick = next((v for v in ts if g.deletable(v)), None)
         if pick is not None:
@@ -190,9 +201,11 @@ def steiner_2approx(g: CutGraph, t_sets: Sequence[Iterable[str]], k: int
     a partition of X - W into intended components; contract classes, compute
     an exact multiway cut, and finish each piece with strict Steiner cuts.
     Any feasible start works; a greedy member-per-set choice keeps the guess
-    space small.
+    space small.  No cut satisfies a set of fewer than two terminals.
     """
-    t_sets = [sorted(set(ts)) for ts in t_sets]
+    t_sets = _terminal_sets(g, t_sets)
+    if any(len(ts) < 2 for ts in t_sets):
+        return None
     if _steiner_feasible(g, frozenset(), t_sets):
         return frozenset()
     initial = _greedy_feasible(g, t_sets, k)
@@ -246,7 +259,8 @@ def _steiner_compress(g: CutGraph, t_sets, x: Iterable[str], b: int
                       ) -> Optional[frozenset]:
     best: Optional[frozenset] = None
     for w, contractions in compression_guesses(g, x, b):
-        live_sets = [ts for ts in t_sets if not _tset_satisfied(g, w, ts)]
+        check = _tset_check(g, w)
+        live_sets = [ts for ts in t_sets if not check(ts)]
         for g2, hubs, renaming in contractions:
             out = _steiner_guess(g2, live_sets, hubs, renaming, b - len(w))
             if out is not None:
@@ -269,33 +283,27 @@ def _steiner_guess(g2: CutGraph, t_sets, hubs: list[str], renaming: dict,
     m = multiway_cut(g2, hubs, budget) if len(hubs) > 1 else frozenset()
     if m is None:
         return None
-    g3 = g2.without(m)
-    comp_of: dict = {}
-    for ci, comp in enumerate(components(g3)):
-        for v in comp:
-            comp_of[v] = ci
-    live = [ts for ts in mapped_sets if not _tset_satisfied(g2, m, ts)]
-    by_comp: dict = {}
-    for ts in live:
-        cids = {comp_of[v] for v in ts if v in comp_of}
-        if len(cids) != 1:
-            continue  # split across components: already satisfied
-        by_comp.setdefault(cids.pop(), []).append(ts)
+    label = component_labels(g2, m)
+    by_label: dict = {}
+    for ts in mapped_sets:
+        labels = {label(v) for v in ts}
+        if len(labels) == 1:  # neither met nor split by m
+            by_label.setdefault(labels.pop(), []).append(ts)
+    hub_of = {label(h): h for h in hubs}  # m separates the hubs
     total: set = set(m)
     remaining = budget
-    for ci, sets_here in sorted(by_comp.items()):
-        hub_here = [h for h in hubs if comp_of.get(h) == ci]
-        if len(hub_here) != 1:
+    for lab, sets_here in by_label.items():
+        hub = hub_of.get(lab)
+        if hub is None:
             return None  # terminal sets stranded away from any hub
-        sub_vertices = [v for v, c in comp_of.items() if c == ci]
-        inside = frozenset(sub_vertices)
+        inside = reachable(g2, [hub], m)
         sub = CutGraph(
-            tuple(sub_vertices),
-            g3.undeletable & inside,
-            {e: mm for e, mm in g3.edges.items() if e <= inside},
+            tuple(v for v in g2.vertices if v in inside),
+            g2.undeletable & inside,
+            {e: mm for e, mm in g2.edges.items() if e <= inside},
         )
         try:
-            cut = strict_steiner_opt(sub, hub_here[0], sets_here, remaining)
+            cut = strict_steiner_opt(sub, hub, sets_here, remaining)
         except ValueError:
             return None
         if cut is None:

@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Sequence
 from .cutgraph import (
     CutGraph,
     TripleSet,
-    components,
+    component_labels,
     reachable,
     triple_multicut_feasible,
 )
@@ -356,13 +356,10 @@ def _alpha_partitions(g: CutGraph, classes: list[list[str]],
     """Assignments of the quotient classes into intended components, grown
     incrementally under the component and triple-distinctness constraints.
     Each alpha lists its vertices by component, then in the given order."""
-    comp_of: dict = {}
-    for ci, comp in enumerate(components(g)):
-        for v in comp:
-            comp_of[v] = ci
+    label = component_labels(g, ())
     class_comp = []
     for cls in classes:
-        comps = {comp_of[v] for v in cls}
+        comps = {label(v) for v in cls}
         if len(comps) > 1:
             return  # a forced class spans components: impossible guess space
         class_comp.append(comps.pop())

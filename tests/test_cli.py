@@ -182,6 +182,35 @@ def test_strict_steiner_unknown_hub_names_the_option(tmp_path, capsys, lists):
     assert code == 2 and out == "" and "--hub nosuch" in err
 
 
+def test_steiner2x_rejects_a_one_terminal_set(tmp_path, capsys):
+    # `list (a,a)` is the terminal set {a}, which no cut satisfies
+    p = tmp_path / "g.graph"
+    p.write_text("graph g\nedge a b\nlist (a,a)\n")
+    code, out, err = run_cli(
+        ["solve", "steiner2x", "--in", str(p), "-k", "2",
+         "--report", "machine"], capsys)
+    assert code == 1 and err == ""
+    assert json.loads(out)["accepted"] is False
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["solve", "djmc"], "graph g\nedge a b\nlist (a,a)\n"),
+    (["solve", "triple-mc"],
+     "graph g\nvertex a\nvertex b\nvertex c\ntriple a b c\n"),
+    (["reduce", "multicut-to-mincsp"], "graph g\nedge a b\nlist (a,b)\n"),
+])
+@pytest.mark.parametrize("k", ["-1", "x"])
+def test_budget_must_be_a_non_negative_integer(tmp_path, capsys, argv, text,
+                                               k):
+    p = tmp_path / "in.graph"
+    p.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--in", str(p), "-k", k])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "argument -k" in out.err
+
+
 @pytest.mark.parametrize("name", ["hs-to-odd3", "hs-to-odd3-constants"])
 @pytest.mark.parametrize("element", ["pad1", "q1"])
 def test_hitting_set_padding_avoids_element_names(tmp_path, capsys, name,

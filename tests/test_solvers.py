@@ -226,6 +226,25 @@ def test_steiner_2approx_examples():
     assert steiner_2approx(g2, [("a", "b", "c")], 0) is None
 
 
+@pytest.mark.parametrize("t_sets", [[["a"]], [("a", "a")], [["a", "c"], ["b"]]])
+def test_steiner_2approx_rejects_a_one_terminal_set(t_sets):
+    """No cut satisfies a set of fewer than two distinct terminals, even one
+    that deletes the terminal."""
+    g = CutGraph.build("abc", [("a", "b"), ("b", "c")])
+    assert steiner_2approx(g, t_sets, 3) is None
+    assert steiner_multicut_vertex_opt(g, [sorted(set(ts)) for ts in t_sets]) \
+        is None
+
+
+@pytest.mark.parametrize("name", ["zz", "0"])
+def test_terminals_must_be_vertices(name):
+    g = CutGraph.build("hab", [("h", "a"), ("h", "b")])
+    with pytest.raises(ValueError, match=f"terminal '{name}'"):
+        strict_steiner(g, "h", [["h", "a", name]], 2)
+    with pytest.raises(ValueError, match=f"terminal '{name}'"):
+        steiner_2approx(g, [["a", name]], 2)
+
+
 def test_steiner_2approx_contract_random():
     rng = random.Random(9)
     accepted = rejected = 0
