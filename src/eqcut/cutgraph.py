@@ -4,7 +4,11 @@ Vertices are partitioned into deletable and undeletable; undeletable vertices
 behave like k+1 twins (infinite capacity in the flow transform).  All
 separator primitives work on the vertex-split flow network.  Searches and
 flows run on one integer index per graph (vertex i is ``g.vertices[i]``),
-built on first use and cached on the frozen graph.
+built on first use and cached on the frozen graph; a graph derived by
+``without``, ``make_undeletable`` or ``component_graph`` takes its index
+from its parent's.  Flows keep only what they change: the flow through each
+vertex and the few edge arcs that carry flow, and walk the index's
+neighbour lists for everything else.
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ class CutGraph:
 
     @cached_property
     def _index(self) -> "_Index":
-        return _Index(self)
+        return _Index.of(self)
 
     def adjacency(self) -> dict:
         adj: dict = {v: [] for v in self.vertices}
@@ -70,20 +74,46 @@ class CutGraph:
         return adj
 
     def without(self, removed: Iterable[str]) -> "CutGraph":
-        removed = set(removed)
-        return CutGraph(
-            tuple(v for v in self.vertices if v not in removed),
-            self.undeletable - removed,
-            {e: m for e, m in self.edges.items() if not e & removed},
-        )
+        """The graph minus the removed vertices; names that are not
+        vertices are ignored, and removing none gives the graph itself."""
+        gone = self._index.mark(removed)
+        if not any(gone):
+            return self
+        return self._induced([i for i, x in enumerate(gone) if not x])
+
+    def _induced(self, keep: list[int]) -> "CutGraph":
+        """The sub-graph on the vertices at the increasing positions keep.
+        Its index is this graph's, filtered in order, so it is the index a
+        fresh build would give."""
+        idx = self._index
+        names = tuple(idx.names[i] for i in keep)
+        kept = set(names)
+        new = [-1] * len(idx.names)
+        for j, i in enumerate(keep):
+            new[i] = j
+        nbrs = [[new[b] for b in idx.nbrs[i] if new[b] >= 0] for i in keep]
+        return _derived(names, self.undeletable & kept,
+                        {e: m for e, m in self.edges.items() if e <= kept},
+                        _Index(names, nbrs))
 
     def make_undeletable(self, vs: Iterable[str]) -> "CutGraph":
-        return CutGraph(self.vertices, self.undeletable | frozenset(vs), self.edges)
+        """The graph with the vertices vs undeletable, sharing this graph's
+        index; ValueError for a name that is not a vertex."""
+        vs = frozenset(vs)
+        if vs <= self.undeletable:
+            return self
+        idx = self._index
+        if any(v not in idx.pos for v in vs):
+            raise ValueError("undeletable set contains unknown vertices")
+        return _derived(self.vertices, self.undeletable | vs, self.edges, idx)
 
     def identify(self, group: Sequence[str], new_name: str) -> "CutGraph":
-        """Contract a vertex group into a single new vertex (dropping loops)."""
+        """Contract a vertex group into a single new vertex (dropping loops).
+        ValueError when new_name is a vertex outside the group."""
         group_set = set(group)
         rename = {v: (new_name if v in group_set else v) for v in self.vertices}
+        if new_name in rename and new_name not in group_set:
+            raise ValueError(f"{new_name!r} is already a vertex outside the group")
         vs = dict.fromkeys(rename[v] for v in self.vertices)
         emap: dict = {}
         for e, m in self.edges.items():
@@ -94,7 +124,18 @@ class CutGraph:
             key = frozenset({nu, nv})
             emap[key] = emap.get(key, 0) + m
         undel = frozenset(rename[v] for v in self.undeletable)
-        return CutGraph(tuple(vs), undel, emap)
+        return _derived(tuple(vs), undel, emap)
+
+
+def _derived(vertices: tuple, undeletable: frozenset, edges: dict,
+             index: Optional["_Index"] = None) -> CutGraph:
+    """A graph built from a valid one: no whole-graph re-validation, and
+    the index, when given, cached on it."""
+    g = object.__new__(CutGraph)
+    g.__dict__.update(vertices=vertices, undeletable=undeletable, edges=edges)
+    if index is not None:
+        g.__dict__["_index"] = index
+    return g
 
 
 @dataclass(frozen=True)
@@ -156,8 +197,7 @@ class TripleSet:
 
 # ---------------------------------------------------------------------------
 # Integer index.  In the vertex-split flow network node 2i is the in-copy
-# and 2i+1 the out-copy of vertex i, arc 2i is the vertex arc of vertex i,
-# and the reverse of arc j is arc j ^ 1.
+# and 2i+1 the out-copy of vertex i.
 
 _BIG = 1 << 30
 
@@ -166,15 +206,20 @@ class _Index:
     """Integer view of one CutGraph: vertex i is ``names[i]``, and
     ``nbrs[i]`` lists its neighbours in ``adjacency()`` order."""
 
-    def __init__(self, g: CutGraph):
-        self.names = g.vertices
-        self.undeletable = g.undeletable
-        self.pos = pos = {v: i for i, v in enumerate(g.vertices)}
-        self.nbrs: list[list[int]] = [[] for _ in g.vertices]
+    def __init__(self, names: tuple, nbrs: list[list[int]]):
+        self.names = names
+        self.pos = {v: i for i, v in enumerate(names)}
+        self.nbrs = nbrs
+
+    @staticmethod
+    def of(g: CutGraph) -> "_Index":
+        idx = _Index(g.vertices, [[] for _ in g.vertices])
+        pos, nbrs = idx.pos, idx.nbrs
         for u, v in g.edges:
             a, b = (pos[u], pos[v]) if u < v else (pos[v], pos[u])
-            self.nbrs[a].append(b)
-            self.nbrs[b].append(a)
+            nbrs[a].append(b)
+            nbrs[b].append(a)
+        return idx
 
     def mark(self, names: Iterable[str]) -> bytearray:
         """One flag per vertex, set for those of the names that are vertices."""
@@ -199,26 +244,6 @@ class _Index:
             order.append(x)
             stack += nbrs[x]
         return order
-
-    @cached_property
-    def arcs(self) -> tuple[list[int], list[list[int]], list[int]]:
-        """The head of every arc, the arcs out of every node, and the
-        capacities: 1 on the vertex arc of a deletable vertex, _BIG on
-        every other forward arc, 0 on reverse arcs."""
-        head: list[int] = []
-        cap: list[int] = []
-        for i, v in enumerate(self.names):
-            head += (2 * i + 1, 2 * i)
-            cap += (_BIG if v in self.undeletable else 1, 0)
-        for a, nbrs in enumerate(self.nbrs):
-            for b in nbrs:
-                if a < b:
-                    head += (2 * b, 2 * a + 1, 2 * a, 2 * b + 1)
-                    cap += (_BIG, 0, _BIG, 0)
-        out: list[list[int]] = [[] for _ in range(2 * len(self.names))]
-        for j in range(len(head)):
-            out[head[j ^ 1]].append(j)
-        return head, out, cap
 
 
 def components(g: CutGraph, deleted: Iterable[str] = ()) -> list[frozenset]:
@@ -257,6 +282,12 @@ def reachable(g: CutGraph, sources: Iterable[str], deleted: Iterable[str] = ()) 
     order = idx.visit([idx.pos[s] for s in sources if s not in deleted],
                       idx.mark(deleted))
     return {idx.names[i] for i in order}
+
+
+def component_graph(g: CutGraph, v: str, cut: Iterable[str]) -> CutGraph:
+    """The component of v in G - cut, as a graph; v is not in the cut."""
+    idx = g._index
+    return g._induced(sorted(idx.visit([idx.pos[v]], idx.mark(cut))))
 
 
 def separates(g: CutGraph, cut: Iterable[str], s: str, t: str) -> bool:
@@ -303,37 +334,47 @@ class _Residual:
     """Residual network of one flow on a graph's vertex-split network.
 
     The source feeds the start nodes and the sink drains the sink nodes,
-    through infinite arcs that stay implicit.  Blocked vertices get an
-    infinite vertex arc, so no cut contains them.  Once the flow is
+    through infinite arcs that stay implicit.  Edge arcs out(a)->in(b) are
+    infinite, and vertex arcs in(i)->out(i) carry 1, or are infinite for
+    free vertices: undeletable ones, and blocked ones, which no cut may
+    contain.  So the network is the index's neighbour lists plus the flow:
+    ``through[i]`` through vertex i, and ``into[b][a]`` on arc
+    out(a)->in(b) for the few edge arcs that carry flow.  Once the flow is
     maximum, the last augmenting search has failed after reaching the
-    residual closure of the source: ``closure`` lists its nodes, and
-    ``reached[x]`` is -1 exactly for the nodes outside it.
+    residual closure of the source: ``reached[x]`` is -1 exactly for the
+    nodes outside it, ``closure`` lists the nodes the search queued, and
+    the reached nodes form a search tree (``reached[x]`` is the node before
+    x, -2 at a start) that is kept while the flow stays as it is.
     """
 
-    def __init__(self, idx: _Index, blocked: Iterable[int],
+    def __init__(self, g: CutGraph, blocked: Iterable[int],
                  starts: list[int], sinks: list[int]):
-        self.names = idx.names
-        self.head, self.out, cap = idx.arcs
-        self.cap = cap[:]
+        idx = g._index
+        self.names, self.nbrs = idx.names, idx.nbrs
+        self.free = idx.mark(g.undeletable)
         for i in blocked:
-            self.cap[2 * i] = _BIG
+            self.free[i] = 1
+        self.through = [0] * len(idx.names)
+        self.into: dict[int, dict[int, int]] = {}
         self.starts, self.sinks = starts, sinks
         self.flow = 0
         self.reached: list[int] = []
         self.closure: list[int] = []
 
     def extended(self, sink: int) -> "_Residual":
-        """A copy that keeps this flow, with one more sink node."""
+        """A copy that keeps this flow, and its search tree, with one more
+        sink node."""
         out = copy.copy(self)
-        out.cap, out.sinks = self.cap[:], self.sinks + [sink]
+        out.through = self.through[:]
+        out.into = {b: arcs.copy() for b, arcs in self.into.items()}
+        out.sinks = self.sinks + [sink]
         return out
 
     def maxflow(self, limit: int) -> int:
         """Edmonds-Karp from the current flow, stopping as soon as the flow
         exceeds the limit: the maximum flow value when it is at most the
         limit, else some value above the limit."""
-        head, cap = self.head, self.cap
-        at_sink = bytearray(len(self.out))
+        at_sink = bytearray(2 * len(self.names))
         for y in self.sinks:
             at_sink[y] = 1
         flow = self.flow
@@ -341,47 +382,100 @@ class _Residual:
             via, end = self._path(at_sink)
             if end < 0:
                 break
-            aug, y = _BIG, end
-            while via[y] >= 0:
-                aug = min(aug, cap[via[y]])
-                y = head[via[y] ^ 1]
-            y = end
-            while via[y] >= 0:
-                j = via[y]
-                cap[j] -= aug
-                cap[j ^ 1] += aug
-                y = head[j ^ 1]
-            flow += aug
+            flow += self._augment(via, end)
+            self.reached = self.closure = []  # the tree is stale now
         self.flow = flow
         return flow
 
     def _path(self, at_sink: bytearray) -> tuple[list[int], int]:
-        """Breadth-first search for a shortest augmenting path: the arc
-        entering each reached node (-2 at a start) and the node where the
-        path meets the sink (-1 if none).  A failed search is kept as the
-        closure."""
-        head, out, cap = self.head, self.out, self.cap
-        via = [-1] * len(out)
+        """Breadth-first search for an augmenting path: the node before each
+        reached node (-2 at a start) and the node where the path meets the
+        sink (-1 if none).  A kept tree answers at once: it reaches every
+        node that a new search would, so the path ends at a sink it reaches,
+        and there is none when it reaches no sink.  A failed search is
+        kept."""
+        if self.reached:
+            via = self.reached
+            return via, next((y for y in self.sinks if via[y] != -1), -1)
+        nbrs, free, through, into = self.nbrs, self.free, self.through, self.into
+        via = [-1] * len(at_sink)
         queue = list(self.starts)
         for s in queue:
             via[s] = -2
             if at_sink[s]:
                 return via, s
         for x in queue:
-            for j in out[x]:
-                if cap[j]:
-                    y = head[j]
+            i = x >> 1
+            if x & 1:  # out(i): in(i) against the flow through i, every in(b)
+                if through[i] and via[x - 1] == -1:
+                    via[x - 1] = x
+                    if at_sink[x - 1]:
+                        return via, x - 1
+                    queue.append(x - 1)
+                for b in nbrs[i]:
+                    y = 2 * b
                     if via[y] == -1:
-                        via[y] = j
+                        via[y] = x
+                        if at_sink[y]:
+                            return via, y
+                        # go on to out(b) at once; in(b) is queued only
+                        # for the flow into it, so an in-copy left off the
+                        # queue has its out-copy reached
+                        if free[b] or not through[b]:
+                            z = y + 1
+                            if via[z] == -1:
+                                via[z] = y
+                                if at_sink[z]:
+                                    return via, z
+                                queue.append(z)
+                        if b in into:
+                            queue.append(y)
+            else:  # in(i): out(i) unless its unit arc is full, and out(a)
+                # against the flow on out(a)->in(i)
+                heads = [x + 1] if free[i] or not through[i] else []
+                heads += [2 * a + 1 for a in into.get(i, ())]
+                for y in heads:
+                    if via[y] == -1:
+                        via[y] = x
                         if at_sink[y]:
                             return via, y
                         queue.append(y)
         self.reached, self.closure = via, queue
         return via, -1
 
+    def _augment(self, via: list[int], end: int) -> int:
+        """Pushes flow along the path to end, and returns the amount: _BIG
+        when every arc on the path is infinite, else one unit."""
+        free, through, into = self.free, self.through, self.into
+        steps = []
+        y = end
+        while via[y] >= 0:
+            steps.append((via[y], y))
+            y = via[y]
+        # infinite: an edge arc out(i)->in(j), or the vertex arc of a free i
+        aug = _BIG if all(x >> 1 != y >> 1 if x & 1 else
+                          y == x + 1 and free[x >> 1]
+                          for x, y in steps) else 1
+        for x, y in steps:
+            i, j = x >> 1, y >> 1
+            if i == j:  # the vertex arc of i, forward or back
+                through[i] += -aug if x & 1 else aug
+            elif x & 1:  # the edge arc out(i)->in(j)
+                arcs = into.setdefault(j, {})
+                arcs[i] = arcs.get(i, 0) + aug
+            else:  # back along out(j)->in(i)
+                arcs = into[i]
+                arcs[j] -= aug
+                if not arcs[j]:
+                    del arcs[j]
+                    if not arcs:
+                        del into[i]
+        return aug
+
     def source_cut(self) -> frozenset:
         """The minimum cut closest to the source: the vertices whose in-copy
-        is in the closure and whose out-copy is not."""
+        is in the closure and whose out-copy is not.  Flow enters the in-copy
+        of such a vertex, so the search queued it."""
         reached = self.reached
         cut = sorted(x >> 1 for x in self.closure
                      if not x & 1 and reached[x ^ 1] == -1)
@@ -390,15 +484,23 @@ class _Residual:
     def sink_cut(self) -> frozenset:
         """The minimum cut closest to the sink: the vertices whose vertex
         arc enters the set of nodes that reach the sink."""
-        head, out, cap = self.head, self.out, self.cap
-        seen = bytearray(len(out))
+        nbrs, free, through, into = self.nbrs, self.free, self.through, self.into
+        seen = bytearray(2 * len(nbrs))
         queue = list(self.sinks)
         for s in queue:
             seen[s] = 1
         for x in queue:
-            for j in out[x]:
-                y = head[j]
-                if cap[j ^ 1] and not seen[y]:
+            i = x >> 1
+            if x & 1:  # from in(i) unless its unit arc is full, and from
+                # in(b) against the flow on out(i)->in(b)
+                tails = [x - 1] if free[i] or not through[i] else []
+                tails += [2 * b for b in nbrs[i] if i in into.get(b, ())]
+            else:  # from every out(a), and from out(i) against its flow
+                tails = [2 * a + 1 for a in nbrs[i]]
+                if through[i]:
+                    tails.append(x + 1)
+            for y in tails:
+                if not seen[y]:
                     seen[y] = 1
                     queue.append(y)
         cut = sorted(x >> 1 for x in queue if x & 1 and not seen[x ^ 1])
@@ -420,11 +522,10 @@ def min_vertex_separator(g: CutGraph, s: str, targets: Sequence[str],
     if not targets:
         return frozenset()
     hard_limit = limit if limit is not None else len(g.vertices)
-    idx = g._index
-    pos = idx.pos
+    pos = g._index.pos
     blocked = {s, *forbidden} if cut_targets else {s, *forbidden, *targets}
     side = 1 if cut_targets else 0
-    net = _Residual(idx, (pos[v] for v in blocked if v in pos),
+    net = _Residual(g, (pos[v] for v in blocked if v in pos),
                     [2 * pos[s] + 1], [2 * pos[t] + side for t in targets])
     return _bounded_cut(net, hard_limit)
 
@@ -448,7 +549,7 @@ def _farthest_min_sep(g: CutGraph, xs: Iterable[str], ys: Iterable[str],
     pos = g._index.pos
     xi = [pos[x] for x in set(xs)]
     yi = [pos[y] for y in set(ys)]
-    net = _Residual(g._index, xi + yi, [2 * i for i in xi],
+    net = _Residual(g, xi + yi, [2 * i for i in xi],
                     [2 * i + 1 for i in yi])
     flow = net.maxflow(limit)
     if flow > limit:

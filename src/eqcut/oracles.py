@@ -95,14 +95,17 @@ def all_min_separators(g: CutGraph, s: str, targets: Sequence[str],
 def steiner_multicut_vertex_opt(g: CutGraph, t_sets: Sequence[Iterable[str]],
                                 forbidden: Iterable[str] = ()
                                 ) -> Optional[frozenset]:
-    """Minimum vertex set satisfying every terminal set (some pair in each
-    set separated, membership counts)."""
+    """Minimum vertex set satisfying every terminal set (some pair of
+    distinct terminals in each set separated, membership counts); None when
+    a set has fewer than two distinct terminals."""
+    t_sets = [list(dict.fromkeys(ts)) for ts in t_sets]
+    if any(len(ts) < 2 for ts in t_sets):
+        return None
     forbidden = set(forbidden)
     dels = [v for v in _deletable_vertices(g) if v not in forbidden]
 
     def satisfied(cut: set) -> bool:
         for ts in t_sets:
-            ts = list(ts)
             if not any(separates(g, cut, a, b)
                        for a, b in itertools.combinations(ts, 2)):
                 return False

@@ -13,10 +13,10 @@ from .cutgraph import (
     CutGraph,
     _bounded_cut,
     _Residual,
+    component_graph,
     component_labels,
     min_vertex_separator,
     multiway_cut,
-    reachable,
 )
 from .instances import (
     Assignment,
@@ -97,7 +97,9 @@ def strict_steiner(g: CutGraph, hub: str, t_sets: Sequence[Iterable[str]],
     so a branch stops once it reaches the size of the best cut found.  Of the
     minimum cuts, the first in depth-first order is returned.
 
-    A branch only adds a sink, so it continues its parent's flow.  The last
+    A branch only adds a sink, so it continues its parent's flow, and its
+    first augmenting path is read off the parent's last, failed search: that
+    search reached the new sink, a terminal of an unsatisfied set.  The last
     augmenting search also gives the hub's component in G - w: the hub and
     the vertices outside w whose in-copy it reached.  Sets without the hub
     are checked from one component labelling of G - w per node.
@@ -110,21 +112,22 @@ def strict_steiner(g: CutGraph, hub: str, t_sets: Sequence[Iterable[str]],
         raise ValueError("the hub does not satisfy every terminal set")
     pos, h = idx.pos, idx.pos[hub]
 
-    def satisfied(net: Optional[_Residual], w: frozenset, ts: list[str],
+    def satisfied(net: _Residual, w: frozenset, ts: list[str],
                   check: Callable[[list[str]], bool]) -> bool:
-        if net is None or hub not in ts:
+        if hub not in ts:
             return check(ts)
         return not w.isdisjoint(ts) or any(
             v != hub and net.reached[2 * pos[v]] == -1 for v in ts)
 
     best: Optional[frozenset] = None
-    root = _Residual(idx, [h], [2 * h + 1], [])
+    root = _Residual(g, [h], [2 * h + 1], [])
+    root.maxflow(0)  # no sink: one search, of the hub's component
     # (branch terminals, new terminal, depth, parent flow, parent network)
-    stack = [(frozenset(), None, 0, -1, None)]
+    stack = [(frozenset(), None, 0, -1, root)]
     while stack:
         y, t, depth, prev_flow, parent = stack.pop()
         if t is None:
-            net, w = None, frozenset()  # the root: no sink, no flow
+            net, w = root, frozenset()
         else:
             net = parent.extended(2 * pos[t] + 1)
             w = _bounded_cut(net, k)
@@ -144,7 +147,7 @@ def strict_steiner(g: CutGraph, hub: str, t_sets: Sequence[Iterable[str]],
         if not unsat:
             best = w
             continue
-        stack.extend((y | {u}, u, depth + 1, len(w), net or root)
+        stack.extend((y | {u}, u, depth + 1, len(w), net)
                      for u in reversed(unsat[0]) if u != hub and u not in y)
     return best
 
@@ -296,14 +299,9 @@ def _steiner_guess(g2: CutGraph, t_sets, hubs: list[str], renaming: dict,
         hub = hub_of.get(lab)
         if hub is None:
             return None  # terminal sets stranded away from any hub
-        inside = reachable(g2, [hub], m)
-        sub = CutGraph(
-            tuple(v for v in g2.vertices if v in inside),
-            g2.undeletable & inside,
-            {e: mm for e, mm in g2.edges.items() if e <= inside},
-        )
         try:
-            cut = strict_steiner_opt(sub, hub, sets_here, remaining)
+            cut = strict_steiner_opt(component_graph(g2, hub, m), hub,
+                                     sets_here, remaining)
         except ValueError:
             return None
         if cut is None:

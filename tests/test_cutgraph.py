@@ -186,6 +186,14 @@ def test_graph_plumbing():
     assert len(rl) == 2 and rl.vertices() == {"a", "b", "c"}
 
 
+def test_identify_rejects_a_name_outside_the_group():
+    g = CutGraph.build("abc", [("a", "b"), ("b", "c")])
+    with pytest.raises(ValueError, match="'c'"):
+        g.identify(["a"], "c")
+    h = g.identify(["a", "c"], "c")
+    assert h == CutGraph.build(["c", "b"], [("c", "b", 2)])
+
+
 def test_vertex_multicut_oracle_sanity():
     g = CutGraph.build("sabt", [("s", "a"), ("a", "t"), ("s", "b"), ("b", "t")])
     cut = vertex_multicut_opt(g, [("s", "t")])

@@ -14,15 +14,14 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from eqcut.cutgraph import (  # noqa: E402
-    _BIG,
     CutGraph,
-    _Residual,
     component_labels,
     components,
     important_separators,
     min_vertex_separator,
     reachable,
 )
+from test_flow_reference import _BIG, ArcResidual  # noqa: E402
 
 
 @st.composite
@@ -94,9 +93,10 @@ def test_min_vertex_separator_matches_networkx_flow(data):
 
 
 def _closure_cut(g: CutGraph, s, targets, limit, cut_targets, forbidden):
-    """Reference: the same flow, then a separate search for the residual
-    closure of the source; a vertex is cut when its in-copy is in the
-    closure and its out-copy is not."""
+    """Reference: the same flow on the arc-array network of
+    `test_flow_reference`, then a separate search for the residual closure
+    of the source; a vertex is cut when its in-copy is in the closure and
+    its out-copy is not."""
     targets = [t for t in targets if t != s]
     if not targets:
         return frozenset()
@@ -104,8 +104,8 @@ def _closure_cut(g: CutGraph, s, targets, limit, cut_targets, forbidden):
     pos = g._index.pos
     blocked = {s, *forbidden} if cut_targets else {s, *forbidden, *targets}
     side = 1 if cut_targets else 0
-    net = _Residual(g._index, (pos[v] for v in blocked if v in pos),
-                    [2 * pos[s] + 1], [2 * pos[t] + side for t in targets])
+    net = ArcResidual(g, (pos[v] for v in blocked if v in pos),
+                      [2 * pos[s] + 1], [2 * pos[t] + side for t in targets])
     flow = net.maxflow(limit)
     if flow > limit:
         return None

@@ -236,6 +236,15 @@ def test_steiner_2approx_rejects_a_one_terminal_set(t_sets):
         is None
 
 
+@pytest.mark.parametrize("t_sets", [[["a"]], [("a", "a")], [["a", "c"], ["b", "b"]]])
+def test_vertex_opt_oracle_rejects_a_one_terminal_set(t_sets):
+    """The oracle reads each set as its distinct terminals, as the solvers
+    do, so a repeated terminal does not make a pair to separate."""
+    g = CutGraph.build("abc", [("a", "b"), ("b", "c")])
+    assert steiner_multicut_vertex_opt(g, t_sets) is None
+    assert steiner_2approx(g, t_sets, 3) is None
+
+
 @pytest.mark.parametrize("name", ["zz", "0"])
 def test_terminals_must_be_vertices(name):
     g = CutGraph.build("hab", [("h", "a"), ("h", "b")])
