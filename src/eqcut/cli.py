@@ -309,30 +309,32 @@ def cmd_verify_lemmas(args) -> int:
     return EXIT_ACCEPT if not failures else EXIT_REJECT
 
 
+def _count(text: str, low: int, expected: str) -> int:
+    """An integer option value of at least low; the error names what was
+    expected."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = low - 1
+    if n < low:
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+    return n
+
+
 def _constants(text: str):
     """`--constants` value: a positive count or 'inf'."""
-    if text == "inf":
-        return text
-    try:
-        c = int(text)
-    except ValueError:
-        c = 0
-    if c < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer or 'inf', got {text!r}")
-    return c
+    return text if text == "inf" else _count(
+        text, 1, "a positive integer or 'inf'")
 
 
 def _budget(text: str) -> int:
     """`-k` value: a non-negative count."""
-    try:
-        k = int(text)
-    except ValueError:
-        k = -1
-    if k < 0:
-        raise argparse.ArgumentTypeError(
-            f"expected a non-negative integer, got {text!r}")
-    return k
+    return _count(text, 0, "a non-negative integer")
+
+
+def _trials(text: str) -> int:
+    """`--trials` value: a positive count."""
+    return _count(text, 1, "a positive integer")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -377,7 +379,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-lemmas",
                        help="oracle checks behind the gadget and solver lemmas")
-    p.add_argument("--trials", type=int, default=15)
+    p.add_argument("--trials", type=_trials, default=15)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=["det", "random"], default="det")
     p.add_argument("--report", choices=["text", "machine"], default="text")

@@ -246,6 +246,14 @@ class _Index:
         return order
 
 
+def check_vertices(g: CutGraph, names: Iterable[str], role: str) -> None:
+    """ValueError naming the first of the names that is not a vertex of g."""
+    pos = g._index.pos
+    for v in names:
+        if v not in pos:
+            raise ValueError(f"the {role} {v!r} is not a vertex of the graph")
+
+
 def components(g: CutGraph, deleted: Iterable[str] = ()) -> list[frozenset]:
     deleted = set(deleted)
     bad = deleted & g.undeletable
@@ -301,15 +309,6 @@ def separates(g: CutGraph, cut: Iterable[str], s: str, t: str) -> bool:
     mark = idx.mark(cut)
     idx.visit([idx.pos[s]], mark)
     return not mark[idx.pos[t]]
-
-
-def shadow(g: CutGraph, deleted: Iterable[str], t_set: Iterable[str]) -> set:
-    """Vertices of G - deleted that cannot reach the T set."""
-    deleted = set(deleted)
-    idx = g._index
-    mark = idx.mark(deleted)
-    idx.visit([idx.pos[t] for t in t_set if t not in deleted], mark)
-    return {v for v, m in zip(idx.names, mark) if not m}
 
 
 def triple_multicut_feasible(g: CutGraph, triples: TripleSet,
@@ -481,31 +480,6 @@ class _Residual:
                      if not x & 1 and reached[x ^ 1] == -1)
         return frozenset(self.names[i] for i in cut)
 
-    def sink_cut(self) -> frozenset:
-        """The minimum cut closest to the sink: the vertices whose vertex
-        arc enters the set of nodes that reach the sink."""
-        nbrs, free, through, into = self.nbrs, self.free, self.through, self.into
-        seen = bytearray(2 * len(nbrs))
-        queue = list(self.sinks)
-        for s in queue:
-            seen[s] = 1
-        for x in queue:
-            i = x >> 1
-            if x & 1:  # from in(i) unless its unit arc is full, and from
-                # in(b) against the flow on out(i)->in(b)
-                tails = [x - 1] if free[i] or not through[i] else []
-                tails += [2 * b for b in nbrs[i] if i in into.get(b, ())]
-            else:  # from every out(a), and from out(i) against its flow
-                tails = [2 * a + 1 for a in nbrs[i]]
-                if through[i]:
-                    tails.append(x + 1)
-            for y in tails:
-                if not seen[y]:
-                    seen[y] = 1
-                    queue.append(y)
-        cut = sorted(x >> 1 for x in queue if x & 1 and not seen[x ^ 1])
-        return frozenset(self.names[i] for i in cut)
-
 
 def min_vertex_separator(g: CutGraph, s: str, targets: Sequence[str],
                          limit: Optional[int] = None,
@@ -543,21 +517,17 @@ def _bounded_cut(net: _Residual, limit: int) -> Optional[frozenset]:
 
 
 def _farthest_min_sep(g: CutGraph, xs: Iterable[str], ys: Iterable[str],
-                      limit: int) -> tuple[Optional[int], Optional[frozenset]]:
-    """Size of a minimum X-Y separator and the one closest to Y (maximal
-    X-side), or (None, None) when the size exceeds the limit or is infinite."""
+                      limit: int) -> Optional[frozenset]:
+    """The minimum X-Y separator closest to Y (maximal X-side), or None when
+    its size exceeds the limit or is infinite.  It is the cut closest to the
+    source of the reversed flow, from Y to X: reversing every arc of the
+    vertex-split network and swapping each in-copy with its out-copy gives
+    the same network, so that flow starts at the in-copies of Y."""
     pos = g._index.pos
     xi = [pos[x] for x in set(xs)]
     yi = [pos[y] for y in set(ys)]
-    net = _Residual(g, xi + yi, [2 * i for i in xi],
-                    [2 * i + 1 for i in yi])
-    flow = net.maxflow(limit)
-    if flow > limit:
-        return None, None
-    far = net.sink_cut()
-    if len(far) != flow:
-        return None, None
-    return flow, far
+    return _bounded_cut(_Residual(g, xi + yi, [2 * i for i in yi],
+                                  [2 * i + 1 for i in xi]), limit)
 
 
 def important_separators(g: CutGraph, x_set: Sequence[str], y_set: Sequence[str],
@@ -580,10 +550,10 @@ def important_separators(g: CutGraph, x_set: Sequence[str], y_set: Sequence[str]
     stack = [(g, xs0, frozenset(), k)]
     while stack:
         g_cur, xs, committed, budget = stack.pop()
-        lam, far = _farthest_min_sep(g_cur, xs, ys0, budget)
-        if lam is None:
+        far = _farthest_min_sep(g_cur, xs, ys0, budget)
+        if far is None:
             continue
-        if lam == 0:
+        if not far:
             candidates.add(committed)
             continue
         v = min(far)
@@ -594,8 +564,7 @@ def important_separators(g: CutGraph, x_set: Sequence[str], y_set: Sequence[str]
     out = []
     for s in sorted(candidates, key=lambda s: (len(s), sorted(s))):
         side = reachable(g, xs0, s)
-        lam, far = _farthest_min_sep(g, side | xs0, ys0, len(s))
-        if lam == len(s) and far == s:
+        if _farthest_min_sep(g, side | xs0, ys0, len(s)) == s:
             out.append(s)
     return out
 
@@ -605,40 +574,36 @@ def multiway_cut(g: CutGraph, terminals: Sequence, k: int) -> Optional[frozenset
     by branching over important separators; None if none exists.
 
     Each entry of terminals is a vertex of g or a group of vertices of g to
-    keep together; terminal vertices are excluded from deletion.
+    keep together; terminal vertices are excluded from deletion, and a
+    terminal that is not a vertex is a ValueError.
     """
     groups = [frozenset({t}) if isinstance(t, str) else frozenset(t)
               for t in terminals]
     members = [(i, v) for i, grp in enumerate(groups) for v in grp]
+    check_vertices(g, (v for _i, v in members), "terminal")
+    g = g.make_undeletable(v for _i, v in members)
 
-    def violated(cut: frozenset) -> Optional[tuple[int, int]]:
+    def violated(cut: frozenset) -> Optional[int]:
         label = component_labels(g, cut)
         for (i, a), (j, b) in itertools.combinations(members, 2):
             if i != j and label(a) == label(b):
-                return (i, j)
+                return i
         return None
 
     best: Optional[frozenset] = None
-    stack = [(frozenset(), k)]  # depth-first, smallest separators first
+    # depth-first, smallest separators first; each cut stays within k
+    stack = [(frozenset(), k)] if k >= 0 else []
     while stack:
         cut, budget = stack.pop()
         if best is not None and len(cut) >= len(best):
             continue
-        pair = violated(cut)
-        if pair is None:
+        i = violated(cut)
+        if i is None:
             best = cut
             continue
         if budget == 0:
             continue
-        i, _ = pair
-        g2 = g.without(cut)
-        present = set(g2.vertices)
-        xs = [v for v in groups[i] if v in present]
-        ys = [v for grp in groups[:i] + groups[i + 1:] for v in grp
-              if v in present]
-        g2 = g2.make_undeletable(set(xs) | set(ys))
-        seps = important_separators(g2, xs, ys, budget)
+        ys = [v for j, v in members if j != i]
+        seps = important_separators(g.without(cut), groups[i], ys, budget)
         stack.extend((cut | sep, budget - len(sep)) for sep in reversed(seps))
-    if best is not None and len(best) <= k:
-        return best
-    return None
+    return best

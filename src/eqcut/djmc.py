@@ -15,11 +15,11 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 from .cutgraph import (
     CutGraph,
     RequestList,
+    check_vertices,
     component_labels,
     multiway_cut,
     reachable,
     separates,
-    shadow,
 )
 from .instances import subsets
 from .solvers import compression_guesses, hitting_set_branch
@@ -102,37 +102,19 @@ def _list_check(g: CutGraph, cut: Iterable[str]
 # Shadow covering, deterministic desk-scale variant.
 
 
-@dataclass(frozen=True)
-class ShadowCoverResult:
-    s_set: frozenset
-    r_set: frozenset
-    transversal: frozenset  # the candidate this branch is built for
-
-    def contract_ok(self, g: CutGraph, t_set: Iterable[str]) -> bool:
-        y = self.transversal
-        if y & self.s_set:
-            return False
-        for v in self.r_set - y:
-            if v not in reachable(g, [t for t in t_set if t not in y], y):
-                return False
-        return True
-
-
 def shadow_cover(g: CutGraph, t_set: Sequence[str], k: int
-                 ) -> Iterator[ShadowCoverResult]:
-    """Branch stream of shadow-covering sets.
+                 ) -> Iterator[frozenset]:
+    """Branch stream of shadow-covering sets, as their complements R.
 
     Enumerates every candidate transversal Y of size at most k and emits
-    the exact shadow of Y, which satisfies the covering contract with
-    certainty.
+    R = V - shadow(Y): Y and the vertices that reach the T set in G - Y.
+    The shadow is exact, so the covering contract holds with certainty.
     """
     targets = set(t_set)
     candidates = [v for v in g.vertices
                   if g.deletable(v) and v not in targets]
     for y in subsets(candidates, k):
-        y = frozenset(y)
-        s_set = frozenset(shadow(g, y, t_set))
-        yield ShadowCoverResult(s_set, frozenset(g.vertices) - s_set, y)
+        yield frozenset(reachable(g, t_set, y)).union(y)
 
 
 def compute_rv(g: CutGraph, r_set: Iterable[str], x_set: Iterable[str],
@@ -271,8 +253,8 @@ def simplify(g: CutGraph, lists: Sequence[RequestList], k: int
             if plan is None:
                 continue
             seen = set()
-            for cover in shadow_cover(g3, hubs, k):
-                out_lists = tuple(_apply_rules(g3, plan, cover.r_set, k))
+            for r_set in shadow_cover(g3, hubs, k):
+                out_lists = tuple(_apply_rules(g3, plan, r_set, k))
                 if out_lists in seen:
                     continue
                 seen.add(out_lists)
@@ -311,8 +293,11 @@ class DjmcResult:
 
 def solve_djmc(g: CutGraph, lists: Sequence[RequestList], k: int) -> DjmcResult:
     """Iterate Simplify while non-singleton requests remain, then finish by
-    hitting-set branching; the assembled solution is verified feasible."""
+    hitting-set branching; the assembled solution is verified feasible.
+    ValueError for a request vertex that is not a vertex of g."""
     lists = list(lists)
+    check_vertices(g, (v for l in lists for p in l.pairs for v in p),
+                   "request vertex")
     depth_bound = 3 * max((len(l) for l in lists), default=1) + 1
 
     def endgame(gg: CutGraph, ll: Sequence[RequestList], budget: int

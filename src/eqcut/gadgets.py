@@ -162,11 +162,7 @@ def hitting_set_to_odd3(elements: Sequence, sets: Sequence[Iterable], k: int
     ]
     pads = fresh_names("pad", map(str, elements), 1)
     for sno, raw in enumerate(sets):
-        members = sorted(set(raw))
-        if not members:
-            raise ReductionError("empty set can never be hit")
-        if any(a not in set(elements) for a in members):
-            raise ReductionError("set uses unknown element")
+        members = _set_members(raw, elements)
         if len(members) == 1:
             d = next(pads)
             constraints.append(soft(EQ, f"x{d}", "z"))
@@ -181,6 +177,17 @@ def hitting_set_to_odd3(elements: Sequence, sets: Sequence[Iterable], k: int
         constraints.append(crisp(NEQ, names[0], ys[-1]))
     inst = MinCspInstance.build("hs_odd3", constraints, notes=tuple(notes))
     return inst, k, tuple(notes)
+
+
+def _set_members(raw: Iterable, elements: Sequence) -> list:
+    """The sorted distinct members of one hitting-set set; ReductionError
+    for an empty set or a member that is not one of the elements."""
+    members = sorted(set(raw))
+    if not members:
+        raise ReductionError("empty set can never be hit")
+    if not set(elements).issuperset(members):
+        raise ReductionError("set uses unknown element")
+    return members
 
 
 # ---------------------------------------------------------------------------
@@ -621,9 +628,7 @@ def hitting_set_to_odd3_constants(elements: Sequence, sets: Sequence[Iterable],
     anchors = ("z.one", "z.two")
     pads = fresh_names("pad", map(str, elements), 1)
     for sno, raw in enumerate(sets):
-        members = sorted(set(raw))
-        if not members:
-            raise ReductionError("empty set can never be hit")
+        members = _set_members(raw, elements)
         if len(members) == 1:
             d = next(pads)
             constraints.append(soft_assign(f"x{d}", 1))

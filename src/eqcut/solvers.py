@@ -13,6 +13,7 @@ from .cutgraph import (
     CutGraph,
     _bounded_cut,
     _Residual,
+    check_vertices,
     component_graph,
     component_labels,
     min_vertex_separator,
@@ -79,10 +80,7 @@ def _terminal_sets(g: CutGraph, t_sets: Sequence[Iterable[str]]
     """Each terminal set as the sorted list of its distinct terminals;
     ValueError for a terminal that is not a vertex of g."""
     out = [sorted(set(ts)) for ts in t_sets]
-    pos = g._index.pos
-    for v in itertools.chain.from_iterable(out):
-        if v not in pos:
-            raise ValueError(f"the terminal {v!r} is not a vertex of the graph")
+    check_vertices(g, itertools.chain.from_iterable(out), "terminal")
     return out
 
 
@@ -105,8 +103,7 @@ def strict_steiner(g: CutGraph, hub: str, t_sets: Sequence[Iterable[str]],
     are checked from one component labelling of G - w per node.
     """
     idx = g._index
-    if hub not in idx.pos:
-        raise ValueError(f"the hub {hub!r} is not a vertex of the graph")
+    check_vertices(g, [hub], "hub")
     t_sets = _terminal_sets(g, t_sets)
     if not all(map(_tset_check(g, {hub}), t_sets)):
         raise ValueError("the hub does not satisfy every terminal set")

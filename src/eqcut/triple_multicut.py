@@ -18,6 +18,7 @@ from typing import Iterable, Optional, Sequence
 from .cutgraph import (
     CutGraph,
     TripleSet,
+    check_vertices,
     component_labels,
     reachable,
     triple_multicut_feasible,
@@ -420,8 +421,10 @@ def triple_multicut(g: CutGraph, triples: TripleSet, k: int
     Branches: which triples the optimum deletes, which surviving-triple
     vertices it deletes, and the component partition of the rest.  Every
     acceptance is re-verified against the feasibility predicate, so wrong
-    guesses can only cost time.
+    guesses can only cost time.  ValueError for a triple vertex that is
+    not a vertex of g.
     """
+    check_vertices(g, (v for tri, _m in triples for v in tri), "triple vertex")
     if triple_multicut_feasible(g, triples, (), ()):
         return TripleMulticutResult(True)
     if k <= 0:

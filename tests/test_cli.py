@@ -63,6 +63,14 @@ def test_bad_constants_error_names_the_option(tmp_path, capsys, constants):
     assert "--constants" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("trials", ["abc", "0", "-3"])
+def test_bad_trials_error_names_the_option(capsys, trials):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-lemmas", "--trials", trials])
+    assert exc.value.code == 2
+    assert "--trials" in capsys.readouterr().err
+
+
 def test_solve_oracle_wheel(tmp_path, capsys):
     from eqcut.formats import print_instance
     from eqcut.gadgets import wheel

@@ -13,7 +13,6 @@ from eqcut.cutgraph import (
     multiway_cut,
     reachable,
     separates,
-    shadow,
 )
 from eqcut.oracles import (
     all_min_separators,
@@ -77,13 +76,6 @@ def test_closest_min_separator_random():
         side = reachable(g, [s], mine)
         for other in seps:
             assert side <= reachable(g, [s], other)
-
-
-def test_shadow():
-    g = CutGraph.build("abct", [("a", "b"), ("b", "c"), ("c", "t")])
-    assert shadow(g, {"c"}, {"t"}) == {"a", "b"}
-    assert shadow(g, set(), {"t"}) == set()
-    assert shadow(g, set(), set()) == {"a", "b", "c", "t"}
 
 
 def test_important_separators_examples():
@@ -166,6 +158,39 @@ def test_multiway_cut_random_optimal():
             assert mine is not None and len(mine) == len(opt)
         else:
             assert mine is None
+
+
+def test_multiway_cut_random_groups_optimal():
+    """Terminal groups of one or two vertices that start out deletable: the
+    cut keeps every terminal, and each group may stay connected or not."""
+    rng = random.Random(17)
+    for _ in range(60):
+        n = rng.randint(5, 10)
+        vs = [f"v{i}" for i in range(n)]
+        edges = [(u, v) for u, v in itertools.combinations(vs, 2)
+                 if rng.random() < 0.35]
+        g = CutGraph.build(vs, edges, [v for v in vs if rng.random() < 0.15])
+        picked = rng.sample(vs, rng.randint(3, 5))
+        cuts = sorted(rng.sample(range(1, len(picked)), 2))
+        terminals = [picked[a:b] for a, b in
+                     zip([0, *cuts], [*cuts, len(picked)])]
+        terminals = [grp[0] if len(grp) == 1 and rng.random() < 0.5 else grp
+                     for grp in terminals]
+        k = rng.randint(0, 3)
+        opt = multiway_cut_opt(g, terminals)
+        mine = multiway_cut(g, terminals, k)
+        if opt is not None and len(opt) <= k:
+            assert mine is not None and len(mine) == len(opt)
+            assert not mine & set(picked)
+            assert multiway_cut_opt(g.without(mine), terminals) == frozenset()
+        else:
+            assert mine is None
+
+
+def test_multiway_cut_rejects_a_terminal_outside_the_graph():
+    g = CutGraph.build("ab", [("a", "b")])
+    with pytest.raises(ValueError, match="terminal 'zz'"):
+        multiway_cut(g, ["a", ["b", "zz"]], 1)
 
 
 def test_graph_plumbing():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from eqcut.cutgraph import CutGraph, RequestList
+from eqcut.cutgraph import CutGraph, RequestList, reachable
 from eqcut.djmc import (
     ListMeasure,
     compute_rv,
@@ -15,6 +15,7 @@ from eqcut.djmc import (
     simplify,
     solve_djmc,
 )
+from eqcut.instances import subsets
 from eqcut.oracles import djmc_cost
 from eqcut.solvers import steiner_2approx
 
@@ -29,14 +30,13 @@ def test_measures():
 
 
 def test_shadow_cover_contract():
+    """Each cover is R = Y + reach(T, G - Y), one per candidate Y in
+    subsets order; with Y empty on a connected graph R is every vertex."""
     g = CutGraph.build("xabt", [("x", "a"), ("a", "b"), ("b", "t")])
     covers = list(shadow_cover(g, ["x"], 2))
-    assert covers
-    for cover in covers:
-        assert cover.contract_ok(g, ["x"])
-    # Y = empty on a connected graph: empty shadow
-    first = covers[0]
-    assert first.transversal == frozenset() and first.s_set == frozenset()
+    ys = list(subsets(["a", "b", "t"], 2))
+    assert covers == [frozenset(y) | reachable(g, ["x"], y) for y in ys]
+    assert covers[0] == frozenset(g.vertices)
 
 
 def test_compute_rv_cases():
@@ -128,6 +128,14 @@ def test_solve_djmc_undeletable_singletons():
     g = CutGraph.build("ab", [], undeletable={"a"})
     res = solve_djmc(g, [RequestList.of(("a",))], 3)
     assert not res.accepted
+
+
+@pytest.mark.parametrize("request_pair", [("a", "zz"), ("zz",)])
+def test_solve_djmc_rejects_a_request_vertex_outside_the_graph(request_pair):
+    g = CutGraph.build("ab", [("a", "b")])
+    lists = [RequestList.of(("a", "b")), RequestList.of(request_pair)]
+    with pytest.raises(ValueError, match="request vertex 'zz'"):
+        solve_djmc(g, lists, 1)
 
 
 def _random_lists(rng, vs, count):

@@ -6,9 +6,11 @@ child from its parent's last search tree.  The reference keeps the earlier
 form: every arc of the vertex-split network in arrays (head, arcs out of
 each node, residual capacity), a fresh copy of the capacities per flow and
 per strict-Steiner node, and a fresh breadth-first search for every
-augmenting path.  Flow values and closest cuts do not depend on which
-augmenting paths are taken, so both must give the same answers and the same
-strict-Steiner statistics.
+augmenting path, and it reads the cut closest to the sink with a search
+backwards from the sink, where the kernel reads it off the reversed flow.
+Flow values and closest cuts do not depend on which augmenting paths are
+taken, so both must give the same answers and the same strict-Steiner
+statistics.
 """
 
 import copy
@@ -254,7 +256,7 @@ def test_flow_kernel_matches_arc_array_reference(data):
                             min_size=1, max_size=3, unique=True))
     budget = data.draw(st.integers(0, 4))
     assert _farthest_min_sep(g, xs, ys, budget) == \
-        ref_farthest_min_sep(g, xs, ys, budget)
+        ref_farthest_min_sep(g, xs, ys, budget)[1]
 
     hub = data.draw(st.sampled_from(vs))
     g = g.make_undeletable([hub])
@@ -278,8 +280,9 @@ def test_flow_kernel_matches_arc_array_reference(data):
 def test_sink_side_search_goes_back_along_edge_flow():
     """The flow x-i-b-y leaves in(b) able to reach the sink only back along
     the edge arc out(i)->in(b), since b's unit arc is full and out(i) reaches
-    the sink through c; so b is on the sink side and i alone is the cut."""
+    the sink through c; so b is on the sink side and i alone is the cut.
+    The kernel reads the same cut off the reversed flow, from y to x."""
     g = CutGraph.build("xibcy", [("x", "i"), ("i", "b"), ("b", "y"),
                                  ("i", "c"), ("c", "y")])
-    assert _farthest_min_sep(g, ["x"], ["y"], 2) == (1, frozenset("i")) == \
-        ref_farthest_min_sep(g, ["x"], ["y"], 2)
+    assert ref_farthest_min_sep(g, ["x"], ["y"], 2) == (1, frozenset("i"))
+    assert _farthest_min_sep(g, ["x"], ["y"], 2) == frozenset("i")

@@ -327,6 +327,15 @@ def test_hitting_set_constants():
         assert brute_force_cost(inst).cost == len(opt)
 
 
+@pytest.mark.parametrize("build", [hitting_set_to_odd3,
+                                   hitting_set_to_odd3_constants])
+def test_hitting_set_reductions_reject_unknown_elements(build):
+    """Element 3 is in no x3 = 1 constraint, so a free x3 would hit the set
+    at cost 0 where the optimum is 1."""
+    with pytest.raises(ReductionError, match="unknown element"):
+        build([1, 2], [[1, 3]], 0)
+
+
 def test_emulate_constants():
     inst = MinCspInstance.build("e", [soft_assign("x", 1), soft_assign("x", 2)])
     out = emulate_constants(inst)

@@ -130,6 +130,12 @@ def test_triple_multicut_examples():
     assert not triple_multicut(g, ts, 0).feasible
 
 
+def test_triple_multicut_rejects_a_triple_vertex_outside_the_graph():
+    g = CutGraph.build("abc", [("a", "b")])
+    with pytest.raises(ValueError, match="triple vertex 'zz'"):
+        triple_multicut(g, TripleSet.of(("a", "b", "zz")), 1)
+
+
 def test_triple_multicut_crisp_copies():
     # a triple with multiplicity k+1 can never be deleted
     g = CutGraph.build("abc", [("a", "b"), ("b", "c"), ("a", "c")])
