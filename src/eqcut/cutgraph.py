@@ -6,7 +6,8 @@ separator primitives work on the vertex-split flow network.  Searches and
 flows run on one integer index per graph (vertex i is ``g.vertices[i]``),
 built on first use and cached on the frozen graph; a graph derived by
 ``without``, ``make_undeletable`` or ``component_graph`` takes its index
-from its parent's.  Flows keep only what they change: the flow through each
+from its parent's (``without`` and ``component_graph`` filter it when it is
+first read).  Flows keep only what they change: the flow through each
 vertex and the few edge arcs that carry flow, and walk the index's
 neighbour lists for everything else.
 """
@@ -17,7 +18,7 @@ import copy
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 
 @dataclass(frozen=True)
@@ -63,7 +64,10 @@ class CutGraph:
 
     @cached_property
     def _index(self) -> "_Index":
-        return _Index.of(self)
+        """Built by the function `_derived` was given, if any, else from
+        the vertices and edges."""
+        build = self.__dict__.pop("_index_build", None)
+        return build() if build is not None else _Index.of(self)
 
     def adjacency(self) -> dict:
         adj: dict = {v: [] for v in self.vertices}
@@ -83,18 +87,22 @@ class CutGraph:
 
     def _induced(self, keep: list[int]) -> "CutGraph":
         """The sub-graph on the vertices at the increasing positions keep.
-        Its index is this graph's, filtered in order, so it is the index a
-        fresh build would give."""
+        Its index is this graph's, filtered in order when first used, so it
+        is the index a fresh build would give."""
         idx = self._index
         names = tuple(idx.names[i] for i in keep)
         kept = set(names)
-        new = [-1] * len(idx.names)
-        for j, i in enumerate(keep):
-            new[i] = j
-        nbrs = [[new[b] for b in idx.nbrs[i] if new[b] >= 0] for i in keep]
+
+        def index() -> _Index:
+            new = [-1] * len(idx.names)
+            for j, i in enumerate(keep):
+                new[i] = j
+            return _Index(names, [[new[b] for b in idx.nbrs[i] if new[b] >= 0]
+                                  for i in keep])
+
         return _derived(names, self.undeletable & kept,
                         {e: m for e, m in self.edges.items() if e <= kept},
-                        _Index(names, nbrs))
+                        index)
 
     def make_undeletable(self, vs: Iterable[str]) -> "CutGraph":
         """The graph with the vertices vs undeletable, sharing this graph's
@@ -128,13 +136,17 @@ class CutGraph:
 
 
 def _derived(vertices: tuple, undeletable: frozenset, edges: dict,
-             index: Optional["_Index"] = None) -> CutGraph:
-    """A graph built from a valid one: no whole-graph re-validation, and
-    the index, when given, cached on it."""
+             index: Union["_Index", Callable[[], "_Index"], None] = None
+             ) -> CutGraph:
+    """A graph built from a valid one: no whole-graph re-validation.  The
+    index, when given, is cached on it; a function given instead builds the
+    index when it is first used."""
     g = object.__new__(CutGraph)
     g.__dict__.update(vertices=vertices, undeletable=undeletable, edges=edges)
-    if index is not None:
+    if isinstance(index, _Index):
         g.__dict__["_index"] = index
+    elif index is not None:
+        g.__dict__["_index_build"] = index
     return g
 
 

@@ -9,7 +9,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
-from .cutgraph import CutGraph, RequestList, TripleSet
+from .cutgraph import CutGraph, RequestList, TripleSet, _derived
 from .instances import Constraint, MinCspInstance
 from .relations import (
     EQ,
@@ -32,12 +32,15 @@ class ParseError(ValueError):
 
 def _split_multiplicity(words: list[str], lineno: int) -> tuple[list[str], int]:
     """The words before an optional trailing `*m`, and the multiplicity m
-    (1 when absent)."""
+    (1 when absent), which must be a positive integer."""
     if words and words[-1].startswith("*"):
         try:
-            return words[:-1], int(words[-1][1:])
+            m = int(words[-1][1:])
         except ValueError:
             raise ParseError(lineno, f"bad multiplicity {words[-1]!r}")
+        if m < 1:
+            raise ParseError(lineno, "multiplicity must be positive")
+        return words[:-1], m
     return words, 1
 
 
@@ -171,6 +174,8 @@ def parse_instance(text: str, language: Optional[EqLanguage] = None
             if not m:
                 raise ParseError(lineno, "expected: soft-assign x = INT [*m]")
             kind, var, val, mult = m.group(1), m.group(2), int(m.group(3)), m.group(4)
+            if mult and int(mult) < 1:
+                raise ParseError(lineno, "multiplicity must be positive")
             constraints.append(Constraint(None, (var,), kind,
                                           int(mult) if mult else 1, val))
         elif head in ("crisp", "soft"):
@@ -218,59 +223,60 @@ _PAIR = re.compile(r"\(([^,()]+),([^,()]+)\)")
 
 
 def parse_graph(text: str) -> GraphBundle:
+    """The bundle in a graph file, read in one pass over its lines.  The
+    vertices are those of the vertex lines in file order, then the other
+    names used by edges, triples and lists, sorted."""
     name = "graph"
-    vertices: list[str] = []
+    declared: dict = {}  # the vertex lines' names, in file order
     undeletable: set = set()
-    edges: list = []
-    triples: list = []
+    edges: dict = {}  # frozenset({u, v}) -> multiplicity
+    triples: dict = {}  # frozenset({u, v, w}) -> multiplicity
     lists: list = []
-    declared: set = set()
 
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        if "#" in raw:
+            raw = raw.split("#", 1)[0]
+        words = raw.split()
+        if not words:
             continue
-        words = line.split()
         head = words[0]
-        if head == "graph":
-            name = words[1] if len(words) > 1 else name
+        if head == "edge":
+            rest, mult = _split_multiplicity(words[1:], lineno)
+            if len(rest) != 2:
+                raise ParseError(lineno, "expected: edge U V [*m]")
+            if rest[0] == rest[1]:
+                raise ParseError(lineno, "self-loop")
+            key = frozenset(rest)
+            edges[key] = edges.get(key, 0) + mult
         elif head == "vertex":
             if len(words) not in (2, 3):
                 raise ParseError(lineno, "expected: vertex NAME [undeletable]")
-            vertices.append(words[1])
-            declared.add(words[1])
+            declared[words[1]] = None
             if len(words) == 3:
                 if words[2] != "undeletable":
                     raise ParseError(lineno, f"unknown modifier {words[2]!r}")
                 undeletable.add(words[1])
-        elif head == "edge":
-            rest, mult = _split_multiplicity(words[1:], lineno)
-            if len(rest) != 2:
-                raise ParseError(lineno, "expected: edge U V [*m]")
-            edges.append((rest[0], rest[1], mult))
-            declared.update(rest)
+        elif head == "graph":
+            name = words[1] if len(words) > 1 else name
         elif head == "triple":
             rest, mult = _split_multiplicity(words[1:], lineno)
             if len(rest) != 3 or len(set(rest)) != 3:
                 raise ParseError(lineno, "expected: triple U V W (distinct)")
-            triples.append((frozenset(rest), mult))
-            declared.update(rest)
+            key = frozenset(rest)
+            triples[key] = triples.get(key, 0) + mult
         elif head == "list":
-            body = line[len("list"):].strip()
+            body = raw.strip()[len("list"):].strip()
             found = _PAIR.findall(body)
             if not found or _PAIR.sub("", body).strip() != "":
                 raise ParseError(lineno, "expected: list (s,t) (s,t) ...")
-            pairs = [(a.strip(), b.strip()) for a, b in found]
-            lists.append(RequestList.of(*pairs))
-            for a, b in pairs:
-                declared.update((a, b))
+            lists.append(RequestList.of(*((a.strip(), b.strip())
+                                          for a, b in found)))
         else:
             raise ParseError(lineno, f"unknown directive {head!r}")
-    listed = set(vertices)
-    vertices += (v for v in sorted(declared) if v not in listed)
-    g = CutGraph.build(vertices, edges, undeletable=undeletable)
-    return GraphBundle(g, lists, TripleSet.of(*triples) if triples
-                       else TripleSet(()), name)
+    named = set().union(*edges, *triples, *(lst.vertices() for lst in lists))
+    vertices = (*declared, *sorted(named.difference(declared)))
+    g = _derived(vertices, frozenset(undeletable), edges)
+    return GraphBundle(g, lists, TripleSet(tuple(triples.items())), name)
 
 
 def print_graph(bundle: GraphBundle) -> str:

@@ -202,6 +202,16 @@ def steiner_2approx(g: CutGraph, t_sets: Sequence[Iterable[str]], k: int
     an exact multiway cut, and finish each piece with strict Steiner cuts.
     Any feasible start works; a greedy member-per-set choice keeps the guess
     space small.  No cut satisfies a set of fewer than two terminals.
+
+    The answer at budget b is the first smallest cut among the guesses with
+    |W| <= b that succeed at budget b - |W|.  Each guess is evaluated once,
+    at the full budget k - |W|, when the budgets reach |W|, and every
+    budget's answer is read off those results: `multiway_cut` and
+    `strict_steiner` return the same set at a budget b as at any B >= b
+    when the budget-B answer has size <= b, and None at b otherwise.  A
+    guess's multiway cut M and its strict-Steiner cuts (of total size
+    spent) each get b - |W|, so it succeeds at b exactly when
+    |W| + max(|M|, spent) <= b.
     """
     t_sets = _terminal_sets(g, t_sets)
     if any(len(ts) < 2 for ts in t_sets):
@@ -212,12 +222,26 @@ def steiner_2approx(g: CutGraph, t_sets: Sequence[Iterable[str]], k: int
     if initial is None:
         return None
 
+    guesses = compression_guesses(g, initial, k)
+    guess = next(guesses, None)
+    found: list[tuple[int, frozenset]] = []  # (least budget, cut) per guess
     for b in range(k + 1):
-        out = _steiner_compress(g, t_sets, initial, b)
-        if out is not None:
-            assert _steiner_feasible(g, out, t_sets)
-            assert len(out) <= 2 * b
-            return out
+        while guess is not None and len(guess[0]) == b:
+            w, contractions = guess
+            check = _tset_check(g, w)
+            live_sets = [ts for ts in t_sets if not check(ts)]
+            for g2, hubs, renaming in contractions:
+                out = _steiner_guess(g2, live_sets, hubs, renaming, k - b)
+                if out is not None:
+                    m_size, spent, cut = out
+                    found.append((b + max(m_size, spent), w | cut))
+            guess = next(guesses, None)
+        fits = [cut for need, cut in found if need <= b]
+        if fits:
+            best = min(fits, key=len)  # the first smallest, in guess order
+            assert _steiner_feasible(g, best, t_sets)
+            assert len(best) <= 2 * b
+            return best
     return None
 
 
@@ -234,18 +258,21 @@ def compression_guesses(g: CutGraph, x: Iterable[str], k: int
     (W, contractions).  The contractions stream has one entry per partition
     of X - W into classes meant to stay connected: the graph G - W with
     each class contracted into an undeletable hub, the hub names, and the
-    map from original name to hub.
+    map from original name to hub.  The stream computes nothing, G - W
+    included, until it is read.
     """
     x_list = sorted(x)
     hub_pool = _hub_names(g, len(x_list))
     for w in subsets(x_list, k):
         w = frozenset(w)
         rest = [v for v in x_list if v not in w]
-        yield w, _contractions(g.without(w), rest, hub_pool)
+        yield w, _contractions(g, w, rest, hub_pool)
 
 
-def _contractions(g: CutGraph, items: list[str], hub_pool: list[str]
+def _contractions(g: CutGraph, w: frozenset, items: list[str],
+                  hub_pool: list[str]
                   ) -> Iterator[tuple[CutGraph, list[str], dict]]:
+    g = g.without(w)
     for partition in set_partitions(items):
         hubs = hub_pool[:len(partition)]
         contracted, renaming = g, {}
@@ -255,25 +282,12 @@ def _contractions(g: CutGraph, items: list[str], hub_pool: list[str]
         yield contracted.make_undeletable(hubs), hubs, renaming
 
 
-def _steiner_compress(g: CutGraph, t_sets, x: Iterable[str], b: int
-                      ) -> Optional[frozenset]:
-    best: Optional[frozenset] = None
-    for w, contractions in compression_guesses(g, x, b):
-        check = _tset_check(g, w)
-        live_sets = [ts for ts in t_sets if not check(ts)]
-        for g2, hubs, renaming in contractions:
-            out = _steiner_guess(g2, live_sets, hubs, renaming, b - len(w))
-            if out is not None:
-                cand = w | out
-                if best is None or len(cand) < len(best):
-                    best = cand
-    return best
-
-
 def _steiner_guess(g2: CutGraph, t_sets, hubs: list[str], renaming: dict,
-                   budget: int) -> Optional[frozenset]:
+                   budget: int) -> Optional[tuple[int, int, frozenset]]:
     """Cut the contracted hubs apart, and solve each component as a
-    strict-Steiner instance around its hub."""
+    strict-Steiner instance around its hub.  The multiway cut M gets the
+    budget, and the strict-Steiner cuts share it; returns (|M|, the total
+    size of the strict-Steiner cuts, the union of all the cuts)."""
     mapped_sets = []
     for ts in t_sets:
         mts = sorted({renaming.get(v, v) for v in ts})
@@ -291,23 +305,21 @@ def _steiner_guess(g2: CutGraph, t_sets, hubs: list[str], renaming: dict,
             by_label.setdefault(labels.pop(), []).append(ts)
     hub_of = {label(h): h for h in hubs}  # m separates the hubs
     total: set = set(m)
-    remaining = budget
+    spent = 0
     for lab, sets_here in by_label.items():
         hub = hub_of.get(lab)
         if hub is None:
             return None  # terminal sets stranded away from any hub
         try:
             cut = strict_steiner_opt(component_graph(g2, hub, m), hub,
-                                     sets_here, remaining)
+                                     sets_here, budget - spent)
         except ValueError:
             return None
         if cut is None:
             return None
         total |= cut
-        remaining -= len(cut)
-        if remaining < 0:
-            return None
-    return frozenset(total)
+        spent += len(cut)
+    return len(m), spent, frozenset(total)
 
 
 # ---------------------------------------------------------------------------

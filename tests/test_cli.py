@@ -163,6 +163,15 @@ def test_graph_multiplicity_error_names_line(tmp_path, capsys, text, line):
     assert code == 2 and f"line {line}: bad multiplicity" in err
 
 
+def test_negative_edge_multiplicity_is_input_error_at_its_line(tmp_path, capsys):
+    # *-1 and *2 on one edge used to load as one edge of multiplicity 1
+    p = tmp_path / "g.graph"
+    p.write_text("edge a b *-1\nedge a b *2\nedge b c\n")
+    code, _, err = run_cli(["solve", "steiner2x", "--in", str(p), "-k", "1"],
+                           capsys)
+    assert code == 2 and "line 1: multiplicity must be positive" in err
+
+
 def test_report_command_is_the_parsed_argv(table1_path, capsys, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["host", "--flag"])
     argv = ["classify", "--in", table1_path, "--report", "machine"]

@@ -106,3 +106,12 @@ def test_removing_or_protecting_nothing_new_gives_the_graph_itself():
     assert g.without([]) is g and g.without(["zz"]) is g
     assert g.make_undeletable([]) is g and g.make_undeletable(["b"]) is g
     assert g.without(["a"])._index.nbrs == [[1], [0]]
+
+
+def test_without_builds_its_index_only_when_it_is_read():
+    g = CutGraph.build("abcd", [("a", "b"), ("b", "c"), ("c", "d")])
+    h = g.without(["a"])
+    h.identify(["b", "c"], "#h0")  # reads only vertices and edges
+    assert "_index" not in h.__dict__
+    _assert_fresh_index(h)
+    assert h._index is h._index

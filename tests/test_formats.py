@@ -104,6 +104,30 @@ def test_parse_graph_errors():
         parse_graph("vertex v strange\n")
 
 
+@pytest.mark.parametrize("text,line,message", [
+    ("edge a b *-1\nedge a b *2\n", 1, "multiplicity must be positive"),
+    ("vertex a\nedge a b *0\n", 2, "multiplicity must be positive"),
+    ("edge a b\nedge c c\n", 2, "self-loop"),
+    ("edge a b\ntriple a b c *0\n", 2, "multiplicity must be positive"),
+    ("triple a b c *-2\nbogus\n", 1, "multiplicity must be positive"),
+], ids=["negative-edge", "zero-edge", "self-loop", "zero-triple",
+        "before-later-errors"])
+def test_parse_graph_rejects_at_the_offending_line(text, line, message):
+    with pytest.raises(ParseError) as e:
+        parse_graph(text)
+    assert e.value.lineno == line and message in str(e.value)
+
+
+@pytest.mark.parametrize("text,line", [
+    ("var a\nvar b\nsoft = a b *0\n", 3),
+    ("var a\nsoft-assign a = 1 *0\n", 2),
+], ids=["constraint", "assignment"])
+def test_parse_instance_rejects_nonpositive_multiplicity_at_its_line(text, line):
+    with pytest.raises(ParseError) as e:
+        parse_instance(text)
+    assert e.value.lineno == line and "multiplicity must be positive" in str(e.value)
+
+
 def test_parse_graph_vertex_order():
     # declared vertices first, in file order; names first seen in edge,
     # triple or list lines follow in sorted order
