@@ -353,9 +353,9 @@ class _Residual:
     out(a)->in(b) for the few edge arcs that carry flow.  Once the flow is
     maximum, the last augmenting search has failed after reaching the
     residual closure of the source: ``reached[x]`` is -1 exactly for the
-    nodes outside it, ``closure`` lists the nodes the search queued, and
-    the reached nodes form a search tree (``reached[x]`` is the node before
-    x, -2 at a start) that is kept while the flow stays as it is.
+    nodes outside it, and the reached nodes form a search tree
+    (``reached[x]`` is the node before x, -2 at a start) that is kept while
+    the flow stays as it is.
     """
 
     def __init__(self, g: CutGraph, blocked: Iterable[int],
@@ -370,7 +370,6 @@ class _Residual:
         self.starts, self.sinks = starts, sinks
         self.flow = 0
         self.reached: list[int] = []
-        self.closure: list[int] = []
 
     def extended(self, sink: int) -> "_Residual":
         """A copy that keeps this flow, and its search tree, with one more
@@ -394,7 +393,7 @@ class _Residual:
             if end < 0:
                 break
             flow += self._augment(via, end)
-            self.reached = self.closure = []  # the tree is stale now
+            self.reached = []  # the tree is stale now
         self.flow = flow
         return flow
 
@@ -451,7 +450,7 @@ class _Residual:
                         if at_sink[y]:
                             return via, y
                         queue.append(y)
-        self.reached, self.closure = via, queue
+        self.reached = via
         return via, -1
 
     def _augment(self, via: list[int], end: int) -> int:
@@ -486,10 +485,10 @@ class _Residual:
     def source_cut(self) -> frozenset:
         """The minimum cut closest to the source: the vertices whose in-copy
         is in the closure and whose out-copy is not.  Flow enters the in-copy
-        of such a vertex, so the search queued it."""
+        of such a vertex along an edge arc, so it is a key of ``into``."""
         reached = self.reached
-        cut = sorted(x >> 1 for x in self.closure
-                     if not x & 1 and reached[x ^ 1] == -1)
+        cut = sorted(i for i in self.into
+                     if reached[2 * i] != -1 and reached[2 * i + 1] == -1)
         return frozenset(self.names[i] for i in cut)
 
 
@@ -587,7 +586,9 @@ def multiway_cut(g: CutGraph, terminals: Sequence, k: int) -> Optional[frozenset
 
     Each entry of terminals is a vertex of g or a group of vertices of g to
     keep together; terminal vertices are excluded from deletion, and a
-    terminal that is not a vertex is a ValueError.
+    terminal that is not a vertex is a ValueError.  A node asks only for
+    the separators that keep its cut within k and below the best cut: the
+    important ones of size <= b are those of a larger bound of size <= b.
     """
     groups = [frozenset({t}) if isinstance(t, str) else frozenset(t)
               for t in terminals]
@@ -602,20 +603,21 @@ def multiway_cut(g: CutGraph, terminals: Sequence, k: int) -> Optional[frozenset
                 return i
         return None
 
-    best: Optional[frozenset] = None
-    # depth-first, smallest separators first; each cut stays within k
-    stack = [(frozenset(), k)] if k >= 0 else []
+    best, limit = None, k  # limit: the largest size that can still beat best
+    # depth-first, smallest separators first
+    stack = [frozenset()] if k >= 0 else []
     while stack:
-        cut, budget = stack.pop()
-        if best is not None and len(cut) >= len(best):
+        cut = stack.pop()
+        budget = limit - len(cut)
+        if budget < 0:
             continue
         i = violated(cut)
         if i is None:
-            best = cut
+            best, limit = cut, len(cut) - 1
             continue
         if budget == 0:
             continue
         ys = [v for j, v in members if j != i]
         seps = important_separators(g.without(cut), groups[i], ys, budget)
-        stack.extend((cut | sep, budget - len(sep)) for sep in reversed(seps))
+        stack.extend(cut | sep for sep in reversed(seps))
     return best

@@ -101,14 +101,9 @@ class MinCspInstance:
               variables: Iterable[str] = (), primaries: Sequence[str] = (),
               notes: Sequence[str] = ()) -> "MinCspInstance":
         constraints = tuple(constraints)
-        seen: list[str] = []
-        for v in variables:
-            if v not in seen:
-                seen.append(v)
-        for c in constraints:
-            for v in c.scope:
-                if v not in seen:
-                    seen.append(v)
+        # declared variables, then new scope variables, in first-seen order
+        seen = dict.fromkeys(variables)
+        seen.update(dict.fromkeys(v for c in constraints for v in c.scope))
         return MinCspInstance(name, tuple(seen), constraints,
                               tuple(primaries), tuple(notes))
 

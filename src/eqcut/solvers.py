@@ -92,20 +92,23 @@ def strict_steiner(g: CutGraph, hub: str, t_sets: Sequence[Iterable[str]],
 
     Branches on the terminals of an unsatisfied set, recomputing the closest
     minimum hub-side separator; its flow value strictly increases with depth,
-    so a branch stops once it reaches the size of the best cut found.  Of the
-    minimum cuts, the first in depth-first order is returned.
+    so each flow is capped at k and below the best cut found, and a node
+    whose parent's flow reaches the cap is dropped before its flow runs.  Of
+    the minimum cuts, the first in depth-first order is returned.
 
     A branch only adds a sink, so it continues its parent's flow, and its
     first augmenting path is read off the parent's last, failed search: that
     search reached the new sink, a terminal of an unsatisfied set.  The last
-    augmenting search also gives the hub's component in G - w: the hub and
-    the vertices outside w whose in-copy it reached.  Sets without the hub
-    are checked from one component labelling of G - w per node.
+    augmenting search also gives the hub's component in G - w, so a set
+    holding the hub needs no labelling (and deleting the hub satisfies it
+    exactly when it has another terminal); the other sets are checked from
+    one component labelling of G - hub, and of G - w per node.
     """
     idx = g._index
     check_vertices(g, [hub], "hub")
     t_sets = _terminal_sets(g, t_sets)
-    if not all(map(_tset_check(g, {hub}), t_sets)):
+    hubless = [ts for ts in t_sets if hub not in ts or len(ts) < 2]
+    if hubless and not all(map(_tset_check(g, {hub}), hubless)):
         raise ValueError("the hub does not satisfy every terminal set")
     pos, h = idx.pos, idx.pos[hub]
 
@@ -116,18 +119,20 @@ def strict_steiner(g: CutGraph, hub: str, t_sets: Sequence[Iterable[str]],
         return not w.isdisjoint(ts) or any(
             v != hub and net.reached[2 * pos[v]] == -1 for v in ts)
 
-    best: Optional[frozenset] = None
+    best, cap = None, k  # cap: the largest flow that can still beat best
     root = _Residual(g, [h], [2 * h + 1], [])
     root.maxflow(0)  # no sink: one search, of the hub's component
     # (branch terminals, new terminal, depth, parent flow, parent network)
-    stack = [(frozenset(), None, 0, -1, root)]
+    stack = [(frozenset(), None, 0, -1, root)] if k >= 0 else []
     while stack:
         y, t, depth, prev_flow, parent = stack.pop()
         if t is None:
             net, w = root, frozenset()
+        elif prev_flow >= cap:
+            continue
         else:
             net = parent.extended(2 * pos[t] + 1)
-            w = _bounded_cut(net, k)
+            w = _bounded_cut(net, cap)
             if w is None:
                 continue
         if stats is not None:
@@ -137,12 +142,10 @@ def strict_steiner(g: CutGraph, hub: str, t_sets: Sequence[Iterable[str]],
                 stats.monotone = False
         assert depth == 0 or len(w) > prev_flow, \
             "closest-separator flow must grow along a branch"
-        if len(w) > k or (best is not None and len(w) >= len(best)):
-            continue
-        check = _tset_check(g, w)
+        check = _tset_check(g, w) if hubless else None
         unsat = [ts for ts in t_sets if not satisfied(net, w, ts, check)]
         if not unsat:
-            best = w
+            best, cap = w, len(w) - 1
             continue
         stack.extend((y | {u}, u, depth + 1, len(w), net)
                      for u in reversed(unsat[0]) if u != hub and u not in y)

@@ -206,12 +206,14 @@ def ref_strict_steiner(g, hub, t_sets, k, stats):
             w = _bounded_cut(net, k)
             if w is None:
                 continue
-        stats.max_depth = max(stats.max_depth, depth)
-        stats.flows.append((depth, len(w)))
         if depth > 0 and len(w) <= prev_flow:
             stats.monotone = False
         if len(w) > k or (best is not None and len(w) >= len(best)):
             continue
+        # the solver caps each flow below the best cut, so it records only
+        # the nodes that this check keeps
+        stats.max_depth = max(stats.max_depth, depth)
+        stats.flows.append((depth, len(w)))
         check = _tset_check(g, w)
         unsat = [ts for ts in t_sets if not satisfied(net, w, ts, check)]
         if not unsat:

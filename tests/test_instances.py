@@ -240,6 +240,14 @@ def test_instance_plumbing():
         MinCspInstance("undeclared", ("a",), (soft(EQ, "a", "b"),))
 
 
+def test_build_orders_declared_then_scope_variables_by_first_occurrence():
+    inst = MinCspInstance.build("order", [
+        soft(EQ, "e", "b"), crisp(NEQ, "d", "e"), soft(EQ, "a", "f"),
+        soft_assign("g", 1), soft(EQ, "f", "d")], ["c", "a", "c", "b"])
+    assert inst.variables == ("c", "a", "b", "e", "d", "f", "g")
+    assert MinCspInstance.build("none", []).variables == ()
+
+
 def test_set_partitions():
     for n in range(8):
         items = list(range(n))

@@ -156,12 +156,14 @@ def _per_node_flow_strict_steiner(g, hub, t_sets, k, stats):
                                  forbidden={hub})
         if w is None:
             continue
-        stats.max_depth = max(stats.max_depth, depth)
-        stats.flows.append((depth, len(w)))
         if depth > 0 and len(w) <= prev_flow:
             stats.monotone = False
         if len(w) > k or (best is not None and len(w) >= len(best)):
             continue
+        # the solver caps each flow below the best cut, so it records only
+        # the nodes that this check keeps
+        stats.max_depth = max(stats.max_depth, depth)
+        stats.flows.append((depth, len(w)))
         unsat = [ts for ts in t_sets if not satisfied(w, ts)]
         if not unsat:
             best = w
