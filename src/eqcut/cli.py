@@ -105,7 +105,7 @@ def cmd_solve(args) -> int:
         payload["accepted"] = accepted
         payload["solution"] = sorted(out) if out is not None else None
     elif args.solver == "strict-steiner":
-        from .solvers import strict_steiner_opt
+        from .solvers import strict_steiner
 
         bundle = formats.parse_graph(text)
         if not bundle.graph.vertices:
@@ -117,7 +117,7 @@ def cmd_solve(args) -> int:
                   file=sys.stderr)
             return EXIT_ERROR
         t_sets = [sorted(lst.vertices()) for lst in bundle.lists]
-        out = strict_steiner_opt(bundle.graph, hub, t_sets, _require_k(k))
+        out = strict_steiner(bundle.graph, hub, t_sets, _require_k(k))
         accepted = out is not None
         payload["accepted"] = accepted
         payload["solution"] = sorted(out) if out is not None else None
@@ -269,7 +269,7 @@ def _rneq_language() -> EqLanguage:
 
 def _parse_sets(text: str):
     """Hitting-set input: one `set a b c` line per set."""
-    elements: list = []
+    elements: dict = {}  # an ordered set: members in first-seen order
     sets: list = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -282,10 +282,8 @@ def _parse_sets(text: str):
         if not members:
             raise formats.ParseError(lineno, "empty set")
         sets.append(members)
-        for m in members:
-            if m not in elements:
-                elements.append(m)
-    return elements, sets
+        elements.update(dict.fromkeys(members))
+    return list(elements), sets
 
 
 def cmd_verify_lemmas(args) -> int:

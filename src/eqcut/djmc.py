@@ -298,6 +298,8 @@ def solve_djmc(g: CutGraph, lists: Sequence[RequestList], k: int) -> DjmcResult:
     lists = list(lists)
     check_vertices(g, (v for l in lists for p in l.pairs for v in p),
                    "request vertex")
+    if k < 0:
+        return DjmcResult(False)
     depth_bound = 3 * max((len(l) for l in lists), default=1) + 1
 
     def endgame(gg: CutGraph, ll: Sequence[RequestList], budget: int

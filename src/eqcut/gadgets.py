@@ -161,8 +161,9 @@ def hitting_set_to_odd3(elements: Sequence, sets: Sequence[Iterable], k: int
         soft(EQ, f"x{a}", "z") for a in elements
     ]
     pads = fresh_names("pad", map(str, elements), 1)
+    known = set(elements)
     for sno, raw in enumerate(sets):
-        members = _set_members(raw, elements)
+        members = _set_members(raw, known)
         if len(members) == 1:
             d = next(pads)
             constraints.append(soft(EQ, f"x{d}", "z"))
@@ -179,13 +180,13 @@ def hitting_set_to_odd3(elements: Sequence, sets: Sequence[Iterable], k: int
     return inst, k, tuple(notes)
 
 
-def _set_members(raw: Iterable, elements: Sequence) -> list:
+def _set_members(raw: Iterable, known: set) -> list:
     """The sorted distinct members of one hitting-set set; ReductionError
-    for an empty set or a member that is not one of the elements."""
+    for an empty set or a member that is not a known element."""
     members = sorted(set(raw))
     if not members:
         raise ReductionError("empty set can never be hit")
-    if not set(elements).issuperset(members):
+    if not known.issuperset(members):
         raise ReductionError("set uses unknown element")
     return members
 
@@ -622,13 +623,15 @@ def odd3_nary_gadget(n: int, targets: Optional[Sequence[str]] = None,
 def hitting_set_to_odd3_constants(elements: Sequence, sets: Sequence[Iterable],
                                   k: int) -> tuple[MinCspInstance, int, tuple]:
     """Soft (x = 1) per element plus one crisp chain gadget per set; the two
-    constant anchors are shared between the gadgets."""
+    constant anchors are shared between the gadgets, and their assignments
+    come with the first gadget."""
     notes = []
     constraints: list[Constraint] = [soft_assign(f"x{a}", 1) for a in elements]
     anchors = ("z.one", "z.two")
     pads = fresh_names("pad", map(str, elements), 1)
+    known = set(elements)
     for sno, raw in enumerate(sets):
-        members = _set_members(raw, elements)
+        members = _set_members(raw, known)
         if len(members) == 1:
             d = next(pads)
             constraints.append(soft_assign(f"x{d}", 1))
@@ -637,7 +640,7 @@ def hitting_set_to_odd3_constants(elements: Sequence, sets: Sequence[Iterable],
         gadget = odd3_nary_gadget(len(members), [f"x{a}" for a in members],
                                   tag=f"s{sno}.", anchors=anchors)
         constraints.extend(c for c in gadget.constraints
-                           if not (c.is_assignment() and c in constraints))
+                           if sno == 0 or not c.is_assignment())
     inst = MinCspInstance.build("hs_odd3_const", constraints, notes=tuple(notes))
     return inst, k, tuple(notes)
 

@@ -20,21 +20,19 @@ from .cutgraph import (
     multiway_cut,
 )
 from .instances import (
-    Assignment,
     Constraint,
     MinCspInstance,
-    _constraint_violated,
     fresh_names,
     set_partitions,
     subsets,
 )
-from .relations import is_strictly_negative
+from .relations import canonicalize, is_strictly_negative
 
 
 def hitting_set_branch(sets: Sequence[Iterable], k: int) -> Optional[frozenset]:
     """A hitting set of size <= k by branching on a smallest unhit set."""
     fams = [frozenset(s) for s in sets]
-    if any(not s for s in fams):
+    if k < 0 or any(not s for s in fams):
         return None
 
     def rec(live: list[frozenset], budget: int) -> Optional[frozenset]:
@@ -152,10 +150,7 @@ def strict_steiner(g: CutGraph, hub: str, t_sets: Sequence[Iterable[str]],
     return best
 
 
-def strict_steiner_opt(g: CutGraph, hub: str, t_sets: Sequence[Iterable[str]],
-                       k: int) -> Optional[frozenset]:
-    """Smallest strict-Steiner cut of size <= k, or None if there is none."""
-    return strict_steiner(g, hub, t_sets, k)
+strict_steiner_opt = strict_steiner  # another name for the same solver
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +212,7 @@ def steiner_2approx(g: CutGraph, t_sets: Sequence[Iterable[str]], k: int
     |W| + max(|M|, spent) <= b.
     """
     t_sets = _terminal_sets(g, t_sets)
-    if any(len(ts) < 2 for ts in t_sets):
+    if k < 0 or any(len(ts) < 2 for ts in t_sets):
         return None
     if _steiner_feasible(g, frozenset(), t_sets):
         return frozenset()
@@ -314,8 +309,8 @@ def _steiner_guess(g2: CutGraph, t_sets, hubs: list[str], renaming: dict,
         if hub is None:
             return None  # terminal sets stranded away from any hub
         try:
-            cut = strict_steiner_opt(component_graph(g2, hub, m), hub,
-                                     sets_here, budget - spent)
+            cut = strict_steiner(component_graph(g2, hub, m), hub,
+                                 sets_here, budget - spent)
         except ValueError:
             return None
         if cut is None:
@@ -329,178 +324,139 @@ def _steiner_guess(g2: CutGraph, t_sets, hubs: list[str], renaming: dict,
 # Strictly negative languages with assignment constraints
 
 
-def _tentative_violation(inst: MinCspInstance) -> Optional[Constraint]:
-    """Violated relation constraint under the canonical assignment that obeys
-    every remaining assignment constraint and spreads other variables out."""
-    value: dict = {}
-    for c in inst.constraints:
+def _assignment_groups(constraints: Iterable[Constraint]) -> dict:
+    """Variable -> value -> the assignment constraints giving the variable
+    that value, all in first-seen order."""
+    groups: dict = {}
+    for c in constraints:
         if c.is_assignment():
-            value[c.scope[0]] = ("const", c.value)
-    fresh = 0
-    for v in inst.variables:
-        if v not in value:
-            value[v] = ("fresh", fresh)
-            fresh += 1
-    a = Assignment(value)
-    for c in inst.constraints:
-        if not c.is_assignment() and _constraint_violated(c, a):
+            groups.setdefault(c.scope[0], {}).setdefault(c.value, []).append(c)
+    return groups
+
+
+def _tentative_violation(constraints: Sequence[Constraint], groups: dict
+                         ) -> Optional[Constraint]:
+    """The first relation constraint violated by the tentative assignment,
+    or None.  The tentative assignment gives each variable of the
+    `_assignment_groups` grouping its first value, and every other variable
+    a value of its own."""
+    def token(v: str) -> tuple:
+        values = groups.get(v)
+        return ("const", next(iter(values))) if values else ("fresh", v)
+
+    for c in constraints:
+        if not c.is_assignment() and \
+                canonicalize([token(v) for v in c.scope]) not in c.relation.tuples:
             return c
     return None
 
 
-def _conflicting_assignments(inst: MinCspInstance) -> Optional[str]:
-    by_var: dict = {}
-    for c in inst.constraints:
-        if c.is_assignment():
-            by_var.setdefault(c.scope[0], set()).add(c.value)
-    for v, vals in by_var.items():
-        if len(vals) > 1:
-            return v
-    return None
-
-
 def negative_fpt_solve(inst: MinCspInstance, k: int) -> bool:
-    """Branching decision procedure for strictly negative relations plus
-    assignment constraints: resolve contradictory assignments, then branch on
-    a constraint violated by the tentative assignment."""
+    """Bounded search tree for strictly negative relations plus assignment
+    constraints, branching on the first obstacle: a variable with two
+    assigned values loses all copies of one value or of the other;
+    otherwise the first relation constraint that the tentative assignment
+    violates goes, or the value group of one of its assigned variables does.
+    A branch drops only soft constraints, at a cost of at least 1 within
+    the budget, so the depth is at most k.  Deletions only remove
+    equalities, so an obstacle that is kept stays an obstacle.  ValueError
+    for a relation that is not strictly negative."""
     for c in inst.constraints:
         if not c.is_assignment() and not is_strictly_negative(c.relation):
             raise ValueError(f"relation {c.relation.name} is not strictly negative")
 
-    def rec(cur: MinCspInstance, budget: int) -> bool:
-        if budget < 0:
-            return False
-        crisp_vals: dict = {}
-        for c in cur.constraints:
-            if c.is_assignment() and c.kind == "crisp":
-                crisp_vals.setdefault(c.scope[0], set()).add(c.value)
-        if any(len(vals) > 1 for vals in crisp_vals.values()):
-            return False
-
-        v = _conflicting_assignments(cur)
-        if v is not None:
-            vals = sorted({c.value for c in cur.constraints
-                           if c.is_assignment() and c.scope[0] == v})
-            for keep in vals:
-                drop = [c for c in cur.constraints
-                        if c.is_assignment() and c.scope[0] == v
-                        and c.value != keep]
-                if any(c.kind == "crisp" for c in drop):
-                    continue
-                cost = sum(c.multiplicity for c in drop)
-                if cost <= budget and rec(cur.with_constraints(
-                        [c for c in cur.constraints if c not in drop]),
-                        budget - cost):
-                    return True
-            return False
-
-        bad = _tentative_violation(cur)
-        if bad is None:
-            return True
-        # branch: the violated constraint goes, or one scope variable's
-        # assignments go
-        if bad.kind == "soft" and bad.multiplicity <= budget:
-            rest = list(cur.constraints)
-            rest.remove(bad)
-            if rec(cur.with_constraints(rest), budget - bad.multiplicity):
+    def rec(cons: list[Constraint], budget: int) -> bool:
+        groups = _assignment_groups(cons)
+        clash = next((vals for vals in groups.values() if len(vals) > 1), None)
+        if clash is not None:
+            options = list(clash.values())[:2]
+        else:
+            bad = _tentative_violation(cons, groups)
+            if bad is None:
                 return True
-        for x in dict.fromkeys(bad.scope):
-            drop = [c for c in cur.constraints
-                    if c.is_assignment() and c.scope[0] == x]
-            if not drop or any(c.kind == "crisp" for c in drop):
-                continue
+            options = [[bad]] + [next(iter(groups[x].values()))
+                                 for x in dict.fromkeys(bad.scope) if x in groups]
+        for drop in options:
             cost = sum(c.multiplicity for c in drop)
-            if cost <= budget and rec(cur.with_constraints(
-                    [c for c in cur.constraints if c not in drop]),
-                    budget - cost):
+            if cost > budget or any(c.kind == "crisp" for c in drop):
+                continue
+            rest = list(cons)
+            for c in drop:
+                rest.remove(c)
+            if rec(rest, budget - cost):
                 return True
         return False
 
-    return rec(inst, k)
+    return k >= 0 and rec(list(inst.constraints), k)
 
 
 def negative_approx(inst: MinCspInstance) -> tuple[int, list[Constraint]]:
     """Factor-r(Gamma) approximation: clean up contradictory assignments by
     majority, then repeatedly delete a violated constraint together with one
-    assignment copy per scope variable.  Returns (cost, deleted constraints)."""
+    assignment copy per scope variable.  Both steps read the
+    `_assignment_groups` grouping.  Returns (cost, deleted constraints);
+    ValueError when crisp constraints alone contradict each other."""
     deleted: list[Constraint] = []
     work = list(inst.constraints)
 
-    def assigned(values: list[Constraint], var: str) -> list[Constraint]:
-        return [c for c in values if c.is_assignment() and c.scope[0] == var]
-
-    changed = True
-    while changed:
-        changed = False
-        by_var: dict = {}
-        for c in work:
-            if c.is_assignment():
-                by_var.setdefault(c.scope[0], {}).setdefault(c.value, []).append(c)
-        for v, groups in by_var.items():
-            if len(groups) <= 1:
+    for groups in _assignment_groups(work).values():
+        if len(groups) <= 1:
+            continue
+        crisp_vals = [val for val, cs in groups.items()
+                      if any(c.kind == "crisp" for c in cs)]
+        if len(crisp_vals) > 1:
+            raise ValueError("contradictory crisp assignments")
+        best_val = crisp_vals[0] if crisp_vals else max(groups, key=lambda val: sum(
+            c.multiplicity for c in groups[val]))
+        dropped = [c for val, cs in groups.items() if val != best_val for c in cs]
+        for c in dropped:
+            work.remove(c)
+        deleted += dropped
+        surplus = min(sum(c.multiplicity for c in dropped),
+                      sum(c.multiplicity for c in groups[best_val]
+                          if c.kind == "soft"))
+        for c in groups[best_val]:
+            if surplus <= 0:
+                break
+            if c.kind == "crisp":
                 continue
-            crisp_vals = [val for val, cs in groups.items()
-                          if any(c.kind == "crisp" for c in cs)]
-            if len(crisp_vals) > 1:
-                raise ValueError("contradictory crisp assignments")
-            if crisp_vals:
-                best_val = crisp_vals[0]
-            else:
-                best_val = max(groups, key=lambda val: sum(
-                    c.multiplicity for c in groups[val]))
-            m1 = sum(c.multiplicity for val, cs in groups.items()
-                     if val != best_val for c in cs)
-            m2 = sum(c.multiplicity for c in groups[best_val]
-                     if c.kind == "soft")
-            for val, cs in groups.items():
-                if val != best_val:
-                    for c in cs:
-                        work.remove(c)
-                        deleted.append(c)
-            surplus = min(m1, m2)
-            for c in list(groups[best_val]):
-                if surplus <= 0:
-                    break
-                if c.kind == "crisp":
-                    continue
-                take = min(surplus, c.multiplicity)
-                work.remove(c)
-                if take < c.multiplicity:
-                    work.append(replace(c, multiplicity=c.multiplicity - take))
-                deleted.append(Constraint(c.relation, c.scope, c.kind, take,
-                                          c.value))
-                surplus -= take
-            changed = True
+            take = min(surplus, c.multiplicity)
+            work.remove(c)
+            if take < c.multiplicity:
+                work.append(replace(c, multiplicity=c.multiplicity - take))
+            deleted.append(Constraint(c.relation, c.scope, c.kind, take,
+                                      c.value))
+            surplus -= take
 
     while True:
-        cur = MinCspInstance.build(inst.name, work, inst.variables)
-        bad = _tentative_violation(cur)
+        groups = _assignment_groups(work)
+        bad = _tentative_violation(work, groups)
         if bad is None:
             break
+        # after the cleanup each assigned variable has one value group
+        copies = {x: next(iter(groups[x].values()))
+                  for x in dict.fromkeys(bad.scope) if x in groups}
         if bad.kind == "crisp":
             # the relation itself cannot go: unassign the cheapest variable
-            choices = []
-            for x in dict.fromkeys(bad.scope):
-                copies = [c for c in work
-                          if c.is_assignment() and c.scope[0] == x]
-                if copies and all(c.kind == "soft" for c in copies):
-                    choices.append((sum(c.multiplicity for c in copies), x, copies))
+            choices = [(sum(c.multiplicity for c in cs), x, cs)
+                       for x, cs in copies.items()
+                       if all(c.kind == "soft" for c in cs)]
             if not choices:
                 raise ValueError("crisp constraint conflicts with crisp assignments")
-            _, x, copies = min(choices)
-            for c in copies:
+            _, _, cs = min(choices)
+            for c in cs:
                 work.remove(c)
-                deleted.append(c)
+            deleted += cs
             continue
         work.remove(bad)
         deleted.append(bad)
-        for x in dict.fromkeys(bad.scope):
-            for c in list(work):
-                if c.is_assignment() and c.scope[0] == x and c.kind == "soft":
-                    work.remove(c)
-                    if c.multiplicity > 1:
-                        work.append(replace(c, multiplicity=c.multiplicity - 1))
-                    deleted.append(Constraint(None, c.scope, c.kind, 1, c.value))
-                    break
+        for cs in copies.values():
+            c = next((c for c in cs if c.kind == "soft"), None)
+            if c is None:
+                continue
+            work.remove(c)
+            if c.multiplicity > 1:
+                work.append(replace(c, multiplicity=c.multiplicity - 1))
+            deleted.append(Constraint(None, c.scope, c.kind, 1, c.value))
     cost = sum(c.multiplicity for c in deleted)
     return cost, deleted

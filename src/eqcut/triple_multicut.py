@@ -425,9 +425,11 @@ def triple_multicut(g: CutGraph, triples: TripleSet, k: int
     not a vertex of g.
     """
     check_vertices(g, (v for tri, _m in triples for v in tri), "triple vertex")
+    if k < 0:
+        return TripleMulticutResult(False)
     if triple_multicut_feasible(g, triples, (), ()):
         return TripleMulticutResult(True)
-    if k <= 0:
+    if k == 0:
         return TripleMulticutResult(False)
 
     tri_mult = dict(triples)
@@ -452,7 +454,7 @@ def triple_multicut(g: CutGraph, triples: TripleSet, k: int
                     binst = build_boolean_instance(g1, live, alpha, k - spent,
                                                    protected)
                     removed = boolean_solve(binst)
-                except (ValueError, CrispUnsatisfiable):
+                except ValueError:
                     continue
                 if removed is None:
                     continue

@@ -225,7 +225,7 @@ def check_triple_multicut(rng: random.Random, trials: int) -> bool:
 
 def check_strict_steiner(rng: random.Random, trials: int) -> bool:
     from .oracles import steiner_multicut_vertex_opt
-    from .solvers import strict_steiner_opt
+    from .solvers import strict_steiner
 
     done = 0
     while done < trials:
@@ -241,7 +241,7 @@ def check_strict_steiner(rng: random.Random, trials: int) -> bool:
         ):
             continue
         done += 1
-        mine = strict_steiner_opt(g, hub, t_sets, 4)
+        mine = strict_steiner(g, hub, t_sets, 4)
         opt = steiner_multicut_vertex_opt(g, t_sets, forbidden={hub})
         if opt is not None and len(opt) <= 4:
             if mine is None or len(mine) != len(opt):

@@ -3,7 +3,15 @@ import random
 
 import pytest
 
-from eqcut.cutgraph import CutGraph, min_vertex_separator, separates
+from eqcut.cutgraph import (
+    CutGraph,
+    RequestList,
+    TripleSet,
+    min_vertex_separator,
+    multiway_cut,
+    separates,
+)
+from eqcut.djmc import solve_djmc
 from eqcut.instances import Constraint, MinCspInstance, brute_force_cost, crisp, soft_assign
 from eqcut.oracles import hitting_set_opt, steiner_multicut_vertex_opt
 from eqcut.relations import NEQ, NEQ3
@@ -16,6 +24,7 @@ from eqcut.solvers import (
     strict_steiner,
     strict_steiner_opt,
 )
+from eqcut.triple_multicut import triple_multicut
 from eqcut.verify import random_graph
 
 
@@ -363,3 +372,28 @@ def test_negative_random_vs_oracle():
             cost, _ = negative_approx(inst)
             # the deletion recipe is (arity + 1)-competitive
             assert opt <= cost <= (2 + 1) * max(opt, 1) or opt == cost == 0
+
+
+# Each solver on an input that needs no deletion, as a yes/no verdict.
+_SPLIT = CutGraph.build(["a", "b", "c", "d", "e"], [("a", "b"), ("c", "d")])
+_NO_DELETION = {
+    "multiway_cut": lambda k: multiway_cut(_SPLIT, ["a", "c"], k) is not None,
+    "strict_steiner": lambda k: strict_steiner(
+        _SPLIT, "a", [["a", "c"]], k) is not None,
+    "steiner_2approx": lambda k: steiner_2approx(
+        _SPLIT, [["a", "c"]], k) is not None,
+    "triple_multicut": lambda k: triple_multicut(
+        _SPLIT, TripleSet.of(("a", "c", "e")), k).feasible,
+    "solve_djmc": lambda k: solve_djmc(
+        _SPLIT, [RequestList.of(("a", "c"))], k).accepted,
+    "hitting_set_branch": lambda k: hitting_set_branch([], k) is not None,
+    "negative_fpt_solve": lambda k: negative_fpt_solve(
+        MinCspInstance.build("free", [crisp(NEQ, "a", "c")]), k),
+}
+
+
+@pytest.mark.parametrize("solver", sorted(_NO_DELETION))
+def test_negative_budget_is_rejected(solver):
+    accepts = _NO_DELETION[solver]
+    assert accepts(0)
+    assert not accepts(-1)
