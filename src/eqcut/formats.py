@@ -12,6 +12,7 @@ from typing import Optional
 from .cutgraph import CutGraph, RequestList, TripleSet, _derived
 from .instances import Constraint, MinCspInstance
 from .relations import (
+    ARITY_CAP,
     EQ,
     EQ_OP,
     NEQ,
@@ -102,6 +103,10 @@ def parse_relations(text: str) -> EqLanguage:
                 arity = int(words[2])
             except ValueError:
                 raise ParseError(lineno, f"bad arity {words[2]!r}")
+            if arity > ARITY_CAP:
+                raise ParseError(lineno, f"arity {arity} exceeds cap {ARITY_CAP}")
+            if any(rel.name == name for rel in relations):
+                raise ParseError(lineno, f"duplicate relation name {name!r}")
             start_line = lineno
         elif words[0] == "tuple":
             if name is None:

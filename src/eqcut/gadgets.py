@@ -17,6 +17,7 @@ from .instances import (
     crisp,
     crisp_assign,
     fresh_names,
+    fresh_tag,
     normalize_constraint,
     soft,
     soft_assign,
@@ -487,23 +488,30 @@ def spc_to_eq_eq(spc: SplitPairedCutInstance) -> tuple[MinCspInstance, int]:
     return MinCspInstance.build("spc_eq_eq", cons, vars_all), spc.k
 
 
-def _path_wheels(paths: Sequence[list[str]], side: int, paired: set
+def _path_wheels(spc: SplitPairedCutInstance, side: int
                  ) -> tuple[list[Constraint], list[str], dict]:
-    """A weighted choice gadget over each flow path of one side.
+    """A weighted choice gadget over each flow path of one side (1 or 2).
 
     A path of p edges supplies the first p+1 of the wheel's 2p+1 variables,
-    so its edges are the first p cycle edges: crisp unless paired.  A paired
-    edge's forward-partner disequality is left out, for the pair's constraint
-    to replace.  Returns the constraints, the wheel variables, and the
-    variables of that disequality per paired edge.
+    so its edges are the first p cycle edges: crisp unless paired.  The
+    other p are named tag.r<j> under the next tag g<side>p<m> none of whose
+    names is a vertex of either graph.  A paired edge's forward-partner
+    disequality is left out, for the pair's constraint to replace.  Returns
+    the constraints, the wheel variables, and the variables of that
+    disequality per paired edge.
     """
+    g, s, t = (spc.g1, spc.s1, spc.t1) if side == 1 else (spc.g2, spc.s2, spc.t2)
+    paired = {frozenset(pair[side - 1]) for pair in spc.pairs}
+    taken = {*spc.g1.vertices, *spc.g2.vertices}
     cons: list[Constraint] = []
     names_all: list[str] = []
     partners: dict = {}
-    for pno, path in enumerate(paths):
+    tags = (f"g{side}p{m}" for m in itertools.count())
+    for path in strip_flow_paths(g, s, t, spc.k):
         p = len(path) - 1
-        names = tuple(path) + tuple(f"g{side}p{pno}.r{j}"
-                                    for j in range(p + 1, 2 * p + 1))
+        suffixes = [f"r{j}" for j in range(p + 1, 2 * p + 1)]
+        tag = fresh_tag(tags, suffixes, taken)
+        names = tuple(path) + tuple(f"{tag}.{x}" for x in suffixes)
         names_all.extend(names)
         paired_idx = []
         crisp_eq = []
@@ -525,10 +533,8 @@ def spc_to_neq_neq(spc: SplitPairedCutInstance) -> tuple[MinCspInstance, int]:
     The budget is 9k: each of the 2k wheels must drop two doubled equalities
     (cost 8k) and the k paired constraints supply the third deletions.
     """
-    f1 = strip_flow_paths(spc.g1, spc.s1, spc.t1, spc.k)
-    f2 = strip_flow_paths(spc.g2, spc.s2, spc.t2, spc.k)
-    cons, names1, ends1 = _path_wheels(f1, 1, {frozenset(e1) for e1, _ in spc.pairs})
-    cons2, names2, ends2 = _path_wheels(f2, 2, {frozenset(e2) for _, e2 in spc.pairs})
+    cons, names1, ends1 = _path_wheels(spc, 1)
+    cons2, names2, ends2 = _path_wheels(spc, 2)
     cons += cons2
     for (e1, e2) in spc.pairs:
         cons.append(soft(R_AND_NEQ_NEQ, *ends1[frozenset(e1)], *ends2[frozenset(e2)]))
@@ -538,7 +544,6 @@ def spc_to_neq_neq(spc: SplitPairedCutInstance) -> tuple[MinCspInstance, int]:
 def spc_to_eq_neq(spc: SplitPairedCutInstance) -> tuple[MinCspInstance, int]:
     """Plain equalities on the first graph, choice gadgets on the second;
     each pair joins a first-graph edge with a wheel disequality.  Budget 5k."""
-    f2 = strip_flow_paths(spc.g2, spc.s2, spc.t2, spc.k)
     paired1 = {frozenset(e1) for e1, _ in spc.pairs}
     cons: list[Constraint] = []
     for e in sorted(spc.g1.edges, key=sorted):
@@ -546,7 +551,7 @@ def spc_to_eq_neq(spc: SplitPairedCutInstance) -> tuple[MinCspInstance, int]:
             u, v = sorted(e)
             cons.append(crisp(EQ, u, v))
     cons.append(crisp(NEQ, spc.s1, spc.t1))
-    wheels, names2, ends2 = _path_wheels(f2, 2, {frozenset(e2) for _, e2 in spc.pairs})
+    wheels, names2, ends2 = _path_wheels(spc, 2)
     cons += wheels
     for (e1, e2) in spc.pairs:
         cons.append(soft(R_AND_EQ_NEQ, *e1, *ends2[frozenset(e2)]))

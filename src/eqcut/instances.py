@@ -11,7 +11,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Container, Iterable, Iterator, Optional, Sequence
 
 from .relations import EqRelation, all_patterns, canonicalize
 
@@ -231,6 +231,13 @@ def fresh_names(prefix: str, taken: Iterable[str], start: int = 0
             if name not in taken)
 
 
+def fresh_tag(tags: Iterator[str], suffixes: Sequence[str],
+              taken: Container[str]) -> str:
+    """The next of the tags that makes none of the names tag.suffix taken."""
+    return next(t for t in tags
+                if all(f"{t}.{s}" not in taken for s in suffixes))
+
+
 def _labelings(wanted: list[set]) -> Iterator[dict]:
     """Injective partial maps block-index -> constant, restricted to constants
     some member of the block is assigned to (plus the unlabeled option)."""
@@ -364,7 +371,9 @@ def inline_gadget(inst: MinCspInstance, target: EqRelation,
     """Replace every target constraint by a fresh copy of the gadget.
 
     Soft targets require a full implementation; crisp targets only need a
-    pp-definition, inlined with crisp constraints.
+    pp-definition, inlined with crisp constraints.  A copy's auxiliary
+    variables are named tag.<name>, under the next tag g1, g2, ... none of
+    whose names is a variable of the instance.
     """
     has_soft = any(c.relation == target and c.kind == "soft"
                    for c in inst.constraints)
@@ -378,15 +387,17 @@ def inline_gadget(inst: MinCspInstance, target: EqRelation,
         raise ValueError("gadget does not pp-define the target")
 
     variables = list(inst.variables)
+    taken = set(variables)
+    gadget_aux = [v for v in gadget.variables if v not in gadget.primaries]
+    tags = (f"g{i}" for i in itertools.count(1))
     constraints: list[Constraint] = []
-    copy_no = 0
     for c in inst.constraints:
         if c.relation != target:
             constraints.append(c)
             continue
-        copy_no += 1
-        aux, inlined = _instantiate(gadget, c.scope, f"g{copy_no}", c.kind,
-                                    c.multiplicity)
+        aux, inlined = _instantiate(gadget, c.scope,
+                                    fresh_tag(tags, gadget_aux, taken),
+                                    c.kind, c.multiplicity)
         variables.extend(aux)
         constraints.extend(inlined)
     return MinCspInstance.build(inst.name, constraints, variables,
@@ -434,7 +445,9 @@ def normalize_constraint(c: Constraint) -> Optional[Constraint]:
 
 
 def split_conjunctive(inst: MinCspInstance) -> tuple[MinCspInstance, int]:
-    """Split each soft negative constraint into one constraint per CNF clause.
+    """Split each soft negative constraint into one constraint per CNF clause,
+    the clauses in sorted order so that the output is the same in every
+    process.
 
     Returns the rewritten instance and the largest clause count of any split
     constraint (the cost-inflation factor).
@@ -450,7 +463,7 @@ def split_conjunctive(inst: MinCspInstance) -> tuple[MinCspInstance, int]:
         phi = minimal_definition(c.relation, "negative")
         if phi is None:
             raise ValueError(f"soft relation {c.relation.name} is not negative")
-        clauses = [cl for cl in phi.clauses]
+        clauses = sorted(phi.clauses, key=sorted)
         if len(clauses) <= 1:
             constraints.append(c)
             continue

@@ -20,7 +20,6 @@ from .cutgraph import (
     TripleSet,
     check_vertices,
     component_labels,
-    reachable,
     triple_multicut_feasible,
 )
 from .instances import subsets
@@ -315,62 +314,45 @@ def decode_boolean_solution(removed: frozenset) -> tuple[frozenset, frozenset]:
 # Full solver.
 
 
-def _quotient_classes(g: CutGraph, xs: Sequence[str]
-                      ) -> tuple[list[list[str]], list[str]]:
+def _quotient_classes(g: CutGraph, xs: Sequence[str]) -> list[list[str]]:
     """Merge guessed vertices that every surviving alpha puts together:
-    pairs joined by an edge or by a path whose inner vertices are all
-    undeletable, whose split the pins and the crisp edge implications make
-    crisp-unsatisfiable.
+    pairs that are adjacent, or that both touch (contain or neighbour) one
+    component of g minus its deletable vertices.  The pins and the crisp
+    edge implications make the split of such a pair crisp-unsatisfiable.
 
-    Also returns the order in which an alpha lists one component's
-    vertices: grouped by undeletable-reach class, classes by first vertex.
-    The encoding's clause order follows the alpha's, and with it which of
-    several cheapest deletion sets `boolean_solve` returns.
+    One labelling of those undeletable components and one union-find pass
+    give the classes, listed by first vertex, each in guess order.
     """
     xs = list(dict.fromkeys(xs))
-    undel_reach = {}
-    for v in xs:
-        blocked = [u for u in g.vertices if g.deletable(u) and u != v]
-        undel_reach[v] = reachable(g, [v], blocked)
-    tied = [(a, b) for a, b in itertools.combinations(xs, 2)
-            if b in undel_reach[a]]
-    order = _classes(xs, union_classes(xs, tied))
+    guessed = set(xs)
+    label = component_labels(g, (v for v in g.vertices if g.deletable(v)))
     idx = g._index
-    near = {v: undel_reach[v].union(idx.names[j] for u in undel_reach[v]
-                                    for j in idx.nbrs[idx.pos[u]])
-            for v in xs}
-    joined = [(a, b) for a, b in itertools.combinations(xs, 2) if b in near[a]]
-    classes = _classes(xs, union_classes(xs, joined))
-    return classes, [v for cls in order for v in cls]
-
-
-def _classes(xs: list[str], root: dict) -> list[list[str]]:
-    out: dict = {}
+    # x joins the labels of itself and its guessed or undeletable
+    # neighbours; all of an undeletable component share one label
+    ties = [(x, label(u)) for x in xs
+            for u in (x, *(idx.names[j] for j in idx.nbrs[idx.pos[x]]))
+            if u in guessed or not g.deletable(u)]
+    root = union_classes(xs + [key for _x, key in ties], ties)
+    classes: dict = {}
     for v in xs:
-        out.setdefault(root[v], []).append(v)
-    return list(out.values())
+        classes.setdefault(root[v], []).append(v)
+    return list(classes.values())
 
 
 def _alpha_partitions(g: CutGraph, classes: list[list[str]],
-                      protected: Sequence[frozenset],
-                      order: Sequence[str]) -> Iterable[dict]:
+                      protected: Sequence[frozenset]) -> Iterable[dict]:
     """Assignments of the quotient classes into intended components, grown
     incrementally under the component and triple-distinctness constraints.
-    Each alpha lists its vertices by component, then in the given order."""
+    Each alpha lists its vertices by component, then class by class, each
+    class in guess order.  A class is connected in g, so its first vertex
+    gives its component.
+    """
     label = component_labels(g, ())
-    class_comp = []
-    for cls in classes:
-        comps = {label(v) for v in cls}
-        if len(comps) > 1:
-            return  # a forced class spans components: impossible guess space
-        class_comp.append(comps.pop())
+    class_comp = [label(cls[0]) for cls in classes]
+    class_of = {v: ci for ci, cls in enumerate(classes) for v in cls}
     conflict: set = set()
-    class_of_vertex = {}
-    for ci, cls in enumerate(classes):
-        for v in cls:
-            class_of_vertex[v] = ci
     for tri in protected:
-        members = [class_of_vertex[v] for v in tri if v in class_of_vertex]
+        members = [class_of[v] for v in tri if v in class_of]
         if len(members) != len(set(members)):
             return  # two vertices of a surviving triple are inseparable
         for a, b in itertools.combinations(members, 2):
@@ -380,12 +362,8 @@ def _alpha_partitions(g: CutGraph, classes: list[list[str]],
 
     def rec(i: int, groups: list[list[int]]):
         if i == n:
-            label = {}
-            for gi, grp in enumerate(groups, start=1):
-                for ci in grp:
-                    for v in classes[ci]:
-                        label[v] = gi
-            yield {v: label[v] for v in sorted(order, key=label.__getitem__)}
+            yield {v: gi for gi, grp in enumerate(groups, start=1)
+                   for ci in grp for v in classes[ci]}
             return
         for gi, grp in enumerate(groups):
             if class_comp[grp[0]] != class_comp[i]:
@@ -418,8 +396,10 @@ def triple_multicut(g: CutGraph, triples: TripleSet, k: int
     """Decide whether deletions of total cost <= k (vertices and triples)
     leave every surviving triple spread over three components.
 
-    Branches: which triples the optimum deletes, which surviving-triple
-    vertices it deletes, and the component partition of the rest.  Every
+    Branches: which triples the optimum deletes (only sets of at most k
+    triples, as every multiplicity is at least 1), which surviving-triple
+    vertices it deletes, and the component partition of the rest, over
+    the quotient classes of one labelling per vertex guess.  Every
     acceptance is re-verified against the feasibility predicate, so wrong
     guesses can only cost time.  ValueError for a triple vertex that is
     not a vertex of g.
@@ -434,22 +414,19 @@ def triple_multicut(g: CutGraph, triples: TripleSet, k: int
 
     tri_mult = dict(triples)
     tri_keys = sorted(tri_mult, key=sorted)
-    for w_t in subsets(tri_keys):
+    for w_t in subsets(tri_keys, k):
         spent_t = sum(tri_mult[t] for t in w_t)
         if spent_t > k:
             continue
-        live = TripleSet(tuple((t, m) for t, m in triples if t not in set(w_t)))
+        live = TripleSet(tuple((t, m) for t, m in triples if t not in w_t))
         protected = [t for t, _m in live]
-        x_verts = [v for t in protected for v in sorted(t)]
-        x_verts = [v for v in dict.fromkeys(x_verts) if g.deletable(v)]
+        x_all = list(dict.fromkeys(v for t in protected for v in sorted(t)))
+        x_verts = [v for v in x_all if g.deletable(v)]
         for w_v in subsets(x_verts, k - spent_t):
             spent = spent_t + len(w_v)
             g1 = g.without(w_v)
-            rem_x = [v for t in protected for v in sorted(t)
-                     if v not in set(w_v)]
-            rem_x = list(dict.fromkeys(rem_x))
-            classes, order = _quotient_classes(g1, rem_x)
-            for alpha in _alpha_partitions(g1, classes, protected, order):
+            classes = _quotient_classes(g1, [v for v in x_all if v not in w_v])
+            for alpha in _alpha_partitions(g1, classes, protected):
                 try:
                     binst = build_boolean_instance(g1, live, alpha, k - spent,
                                                    protected)
@@ -459,11 +436,9 @@ def triple_multicut(g: CutGraph, triples: TripleSet, k: int
                 if removed is None:
                     continue
                 z_v, z_t = decode_boolean_solution(removed)
-                z_v_full = z_v | set(w_v)
-                z_t_full = z_t | set(w_t)
-                if triple_multicut_feasible(g, triples, z_v_full, z_t_full):
-                    cost = len(z_v_full) + sum(tri_mult[t] for t in z_t_full)
+                z_v, z_t = z_v.union(w_v), z_t.union(w_t)
+                if triple_multicut_feasible(g, triples, z_v, z_t):
+                    cost = len(z_v) + sum(tri_mult[t] for t in z_t)
                     if cost <= k:
-                        return TripleMulticutResult(True, frozenset(z_v_full),
-                                                    frozenset(z_t_full))
+                        return TripleMulticutResult(True, z_v, z_t)
     return TripleMulticutResult(False)

@@ -151,6 +151,20 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert code == 2 and "line 2" in err
 
 
+@pytest.mark.parametrize("text,line,message", [
+    ("relation r 2\ntuple 1 2\n\nrelation r 2\ntuple 1 1\n", 4,
+     "duplicate relation name 'r'"),
+    ("relation eq 2\ntuple 1 1\nrelation big 9\ntuple 1 1 1 1 1 1 1 1 1\n", 3,
+     "arity 9 exceeds cap 8"),
+], ids=["duplicate-name", "arity-over-cap"])
+def test_relation_stanza_error_names_its_line(tmp_path, capsys, text, line,
+                                              message):
+    p = tmp_path / "bad.rel"
+    p.write_text(text)
+    code, _, err = run_cli(["classify", "--in", str(p)], capsys)
+    assert code == 2 and f"line {line}: {message}" in err
+
+
 @pytest.mark.parametrize("text,line", [
     ("edge a b *x\n", 1),
     ("edge a b\nedge b c\ntriple a b c *\n", 3),

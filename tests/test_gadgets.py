@@ -201,6 +201,19 @@ def test_spc_reductions_tiny():
         assert brute_force_cost(inst).cost > k
 
 
+@pytest.mark.parametrize("mid", ["a2", "g2p0.r3"])
+def test_spc_wheel_names_skip_vertex_names(mid):
+    # a side-2 vertex named like a wheel variable must not merge with it
+    g1 = CutGraph.build(["s1", "a1", "t1"], [("s1", "a1"), ("a1", "t1")])
+    g2 = CutGraph.build(["s2", mid, "t2"], [("s2", mid), (mid, "t2")])
+    spc = SplitPairedCutInstance(g1, g2, "s1", "t1", "s2", "t2",
+                                 [(("a1", "t1"), (mid, "t2"))], 1)
+    inst, k = spc_to_neq_neq(spc)
+    assert brute_force_cost(inst).cost == k == 9
+    inst, k = spc_to_eq_neq(spc)
+    assert brute_force_cost(inst).cost == k == 5
+
+
 def test_spc_reductions_leave_input_unchanged():
     g1 = CutGraph.build(["s1", "a1", "t1"], [("s1", "a1"), ("a1", "t1")])
     g2 = CutGraph.build(["s2", "a2", "t2"], [("s2", "a2"), ("a2", "t2")])

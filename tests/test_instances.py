@@ -1,9 +1,14 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import eqcut
 from eqcut.instances import (
     Assignment,
     Constraint,
@@ -38,6 +43,8 @@ from eqcut.relations import (
 )
 
 INF = math.inf
+# the package under test, for subprocesses, even when it is not installed
+SRC = str(Path(eqcut.__file__).parents[1])
 
 
 def triangle():
@@ -156,6 +163,20 @@ def test_inline_gadget_random_cost_preserving():
     assert trials >= 80
 
 
+def test_inline_gadget_tags_skip_variable_names():
+    # the NEQ3 gadget's auxiliary v3 must not merge with a variable g1.v3
+    from eqcut.expressive import implement_disequality
+
+    gadget = implement_disequality(NEQ3)
+    assert [v for v in gadget.variables if v not in gadget.primaries] == ["v3"]
+    for name, tag in (("w", "g1"), ("g1.v3", "g2")):
+        inst = MinCspInstance.build("i", [crisp(NEQ, "a", "b"),
+                                          soft(EQ, name, "a")])
+        out = inline_gadget(inst, NEQ, gadget)
+        assert f"{tag}.v3" in out.variables
+        assert brute_force_cost(inst).cost == brute_force_cost(out).cost == 0
+
+
 def test_inline_crisp_via_pp_definition():
     # a Horn pp-definition of ODD3 out of its clause relations, crisp-only
     from eqcut.relations import minimal_definition, relation_from_cnf, CnfFormula
@@ -172,6 +193,28 @@ def test_inline_crisp_via_pp_definition():
         crisp(ODD3, "a", "b", "c"), soft(EQ, "a", "b"), soft(NEQ, "b", "c")])
     out = inline_gadget(inst, ODD3, gadget)
     assert brute_force_cost(inst).cost == brute_force_cost(out).cost
+
+
+def test_split_conjunctive_order_ignores_hash_seed():
+    script = (
+        "from eqcut.instances import MinCspInstance, soft, split_conjunctive\n"
+        "from eqcut.relations import CnfFormula, clause, relation_from_cnf\n"
+        "phi = CnfFormula(4, frozenset({clause((1, 2, '!=')),\n"
+        "    clause((3, 4, '!=')), clause((1, 3, '!='), (2, 4, '!='))}))\n"
+        "r3 = relation_from_cnf(phi, 4, 'r3')\n"
+        "inst = MinCspInstance.build('s', [soft(r3, 'a', 'b', 'c', 'd')])\n"
+        "out, _ = split_conjunctive(inst)\n"
+        "for c in out.constraints:\n"
+        "    print(c.scope, sorted(c.relation.tuples))\n")
+    outs = set()
+    for seed in ("1", "2", "3", "4"):
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(
+                filter(None, [SRC, os.environ.get("PYTHONPATH")]))})
+        assert proc.returncode == 0, proc.stderr
+        outs.add(proc.stdout)
+    assert len(outs) == 1 and len(outs.pop().splitlines()) == 3
 
 
 def test_crisp_as_copies():

@@ -90,25 +90,23 @@ def test_boolean_solve():
 
 def test_quotient_classes_merge_adjacent_guessed_vertices():
     g = CutGraph.build("abcd", [("a", "b"), ("b", "c")])
-    classes, order = _quotient_classes(g, ["a", "d", "b"])
+    classes = _quotient_classes(g, ["a", "d", "b"])
     assert classes == [["a", "b"], ["d"]]
-    assert order == ["a", "d", "b"]
     # c joins a through the undeletable u, b joins a by an edge: one class,
-    # and an alpha lists a's undeletable-reach class {a, c} before b
+    # and its alpha lists the vertices in guess order
     g2 = CutGraph.build("abcu", [("a", "u"), ("u", "c"), ("a", "b")],
                         undeletable={"c", "u"})
-    classes, order = _quotient_classes(g2, ["a", "b", "c"])
+    classes = _quotient_classes(g2, ["a", "b", "c"])
     assert classes == [["a", "b", "c"]]
-    (alpha,) = _alpha_partitions(g2, classes, [], order)
-    assert list(alpha.items()) == [("a", 1), ("c", 1), ("b", 1)]
+    (alpha,) = _alpha_partitions(g2, classes, [])
+    assert list(alpha.items()) == [("a", 1), ("b", 1), ("c", 1)]
 
 
 def test_quotient_classes_merge_through_undeletable_vertices():
     # a and c are deletable and joined only through the undeletable u
     g = CutGraph.build("acdu", [("a", "u"), ("u", "c")], undeletable={"u"})
-    classes, order = _quotient_classes(g, ["a", "c", "d"])
+    classes = _quotient_classes(g, ["a", "c", "d"])
     assert classes == [["a", "c"], ["d"]]
-    assert order == ["a", "c", "d"]
 
 
 def test_triple_multicut_answer_is_pinned():
