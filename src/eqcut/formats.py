@@ -103,6 +103,8 @@ def parse_relations(text: str) -> EqLanguage:
                 arity = int(words[2])
             except ValueError:
                 raise ParseError(lineno, f"bad arity {words[2]!r}")
+            if arity < 1:
+                raise ParseError(lineno, "arity must be positive")
             if arity > ARITY_CAP:
                 raise ParseError(lineno, f"arity {arity} exceeds cap {ARITY_CAP}")
             if any(rel.name == name for rel in relations):
@@ -123,9 +125,9 @@ def parse_relations(text: str) -> EqLanguage:
             if name is None:
                 raise ParseError(lineno, "cnf outside a relation stanza")
             cl = _parse_clause(line[len("cnf"):].strip(), lineno)
-            for (_i, j, _op) in cl:
-                if j > arity:
-                    raise ParseError(lineno, f"index x{j} outside arity {arity}")
+            for x in sorted(x for lit in cl for x in lit[:2]):
+                if not 1 <= x <= arity:
+                    raise ParseError(lineno, f"index x{x} outside arity {arity}")
             clauses.append(cl)
         else:
             raise ParseError(lineno, f"unknown directive {words[0]!r}")

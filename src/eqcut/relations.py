@@ -160,9 +160,6 @@ class CnfFormula:
     def satisfied_by(self, t: Sequence[int]) -> bool:
         return all(clause_satisfied(t, cl) for cl in self.clauses)
 
-    def in_fragment(self, fragment: str) -> bool:
-        return all(clause_in_fragment(cl, fragment) for cl in self.clauses)
-
     def __iter__(self):
         return iter(self.clauses)
 

@@ -18,6 +18,7 @@ from typing import Iterable, Optional, Sequence
 from .cutgraph import (
     CutGraph,
     TripleSet,
+    _farthest_min_sep,
     check_vertices,
     component_labels,
     triple_multicut_feasible,
@@ -43,20 +44,6 @@ class BooleanInstance:
     crisp_clauses: tuple
     soft_groups: tuple
     budget: int
-
-    def gaifman_ok(self) -> bool:
-        """Every deletable constraint's Gaifman graph must be 2K2-free."""
-        for group in self.soft_groups:
-            edges = set()
-            for cl in group.clauses:
-                if len(cl) == 2 and cl[0][0] != cl[1][0]:
-                    edges.add(frozenset({cl[0][0], cl[1][0]}))
-            for e1, e2 in itertools.combinations(edges, 2):
-                if e1 & e2:
-                    continue
-                if not any(frozenset({a, b}) in edges for a in e1 for b in e2):
-                    return False
-        return True
 
 
 class CrispUnsatisfiable(ValueError):
@@ -340,12 +327,31 @@ def _quotient_classes(g: CutGraph, xs: Sequence[str]) -> list[list[str]]:
 
 
 def _alpha_partitions(g: CutGraph, classes: list[list[str]],
-                      protected: Sequence[frozenset]) -> Iterable[dict]:
+                      protected: Sequence[frozenset],
+                      budget: int) -> Iterable[dict]:
     """Assignments of the quotient classes into intended components, grown
-    incrementally under the component and triple-distinctness constraints.
+    incrementally under the component and triple-distinctness constraints,
+    and under a flow bound: once two or more groups are placed, each must be
+    cut from the others by at most `budget` vertices outside the classes.
     Each alpha lists its vertices by component, then class by class, each
     class in guess order.  A class is connected in g, so its first vertex
     gives its component.
+
+    The bound drops only alphas whose Boolean encoding (at this budget)
+    has no solution or is crisp-unsatisfiable, so the alphas that survive
+    are the unbounded stream's, in its order:
+
+    1. Take a path of kept vertices from u, pinned to group a, to w,
+       pinned to group b != a.  Its edge and coherence clauses imply
+       hat(u, a) -> (next, a) -> hat(next, a) -> ... -> (w, a), u's pins
+       set hat(u, a) true and w's pins set (w, a) false.  So the deleted
+       vertices z_v must separate the groups in g.
+    2. A guessed vertex's pins satisfy its coherence clauses, so deleting
+       that group never makes the formula satisfiable.  `boolean_solve`
+       returns a minimum-weight set, so it never deletes such a group: the
+       cut uses only vertices outside the classes, at most `budget` of them.
+    3. Placing more classes only enlarges both sides of every check, so a
+       prefix that fails the bound fails it in every completion.
     """
     label = component_labels(g, ())
     class_comp = [label(cls[0]) for cls in classes]
@@ -357,6 +363,18 @@ def _alpha_partitions(g: CutGraph, classes: list[list[str]],
             return  # two vertices of a surviving triple are inseparable
         for a, b in itertools.combinations(members, 2):
             conflict.add(frozenset({a, b}))
+    gu = g.make_undeletable(class_of)  # every class vertex
+
+    def separable(groups: list[list[int]]) -> bool:
+        """Whether each placed group can be cut from the others."""
+        if len(groups) < 2:
+            return True
+        sides = [[v for ci in grp for v in classes[ci]] for grp in groups]
+        for j, side in enumerate(sides):
+            others = [v for o in sides[:j] + sides[j + 1:] for v in o]
+            if _farthest_min_sep(gu, side, others, budget) is None:
+                return False
+        return True
 
     n = len(classes)
 
@@ -371,10 +389,12 @@ def _alpha_partitions(g: CutGraph, classes: list[list[str]],
             if any(frozenset({i, other}) in conflict for other in grp):
                 continue
             grp.append(i)
-            yield from rec(i + 1, groups)
+            if separable(groups):
+                yield from rec(i + 1, groups)
             grp.pop()
         groups.append([i])
-        yield from rec(i + 1, groups)
+        if separable(groups):
+            yield from rec(i + 1, groups)
         groups.pop()
 
     yield from rec(0, [])
@@ -399,10 +419,12 @@ def triple_multicut(g: CutGraph, triples: TripleSet, k: int
     Branches: which triples the optimum deletes (only sets of at most k
     triples, as every multiplicity is at least 1), which surviving-triple
     vertices it deletes, and the component partition of the rest, over
-    the quotient classes of one labelling per vertex guess.  Every
-    acceptance is re-verified against the feasibility predicate, so wrong
-    guesses can only cost time.  ValueError for a triple vertex that is
-    not a vertex of g.
+    the quotient classes of one labelling per vertex guess.  A partition
+    prefix whose groups cannot be cut apart within the remaining budget is
+    dropped before any Boolean encoding is built (see
+    `_alpha_partitions`).  Every acceptance is re-verified against the
+    feasibility predicate, so wrong guesses can only cost time.  ValueError
+    for a triple vertex that is not a vertex of g.
     """
     check_vertices(g, (v for tri, _m in triples for v in tri), "triple vertex")
     if k < 0:
@@ -426,7 +448,8 @@ def triple_multicut(g: CutGraph, triples: TripleSet, k: int
             spent = spent_t + len(w_v)
             g1 = g.without(w_v)
             classes = _quotient_classes(g1, [v for v in x_all if v not in w_v])
-            for alpha in _alpha_partitions(g1, classes, protected):
+            for alpha in _alpha_partitions(g1, classes, protected,
+                                           k - spent):
                 try:
                     binst = build_boolean_instance(g1, live, alpha, k - spent,
                                                    protected)

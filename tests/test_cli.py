@@ -156,7 +156,13 @@ def test_parse_error_exit_code(tmp_path, capsys):
      "duplicate relation name 'r'"),
     ("relation eq 2\ntuple 1 1\nrelation big 9\ntuple 1 1 1 1 1 1 1 1 1\n", 3,
      "arity 9 exceeds cap 8"),
-], ids=["duplicate-name", "arity-over-cap"])
+    ("relation eq 2\ntuple 1 1\n\nrelation r 0\n", 4,
+     "arity must be positive"),
+    ("relation r -1\ntuple\n", 1, "arity must be positive"),
+    # indices start at 1; x0 is no position of a tuple
+    ("relation r 3\ncnf x0 != x1\n", 2, "index x0 outside arity 3"),
+], ids=["duplicate-name", "arity-over-cap", "arity-zero", "arity-negative",
+        "cnf-index-zero"])
 def test_relation_stanza_error_names_its_line(tmp_path, capsys, text, line,
                                               message):
     p = tmp_path / "bad.rel"

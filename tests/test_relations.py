@@ -20,6 +20,7 @@ from eqcut.relations import (
     all_patterns,
     canonicalize,
     clause,
+    clause_in_fragment,
     definable_in_fragment,
     entailed_clauses,
     essential_projection,
@@ -131,7 +132,8 @@ def test_definability_round_trip():
             if phi is not None:
                 back = relation_from_cnf(phi, rel.arity)
                 assert back.tuples == rel.tuples
-                assert phi.in_fragment(fragment)
+                assert all(clause_in_fragment(cl, fragment)
+                           for cl in phi.clauses)
 
 
 def test_minimal_definition_prunes():

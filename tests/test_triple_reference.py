@@ -8,7 +8,9 @@ by its neighbours to join classes, and lists each alpha's vertices in an
 order grouped by undeletable reach (`order`).  The solver now reads the
 classes off one labelling of the undeletable components and walks only the
 triple sets the budget can pay for.  The classes and the answer
-`(feasible, z_v, z_t)` must equal the reference's.
+`(feasible, z_v, z_t)` must equal the reference's.  The reference's alpha
+walk has no flow bound, so the answer test also checks that the solver's
+bound on partial alphas drops no alpha that could change the answer.
 """
 
 import itertools
