@@ -584,11 +584,12 @@ def multiway_cut(g: CutGraph, terminals: Sequence, k: int) -> Optional[frozenset
     """Minimum multiway cut of size <= k separating the terminal groups,
     by branching over important separators; None if none exists.
 
-    Each entry of terminals is a vertex of g or a group of vertices of g to
-    keep together; terminal vertices are excluded from deletion, and a
-    terminal that is not a vertex is a ValueError.  A node asks only for
-    the separators that keep its cut within k and below the best cut: the
-    important ones of size <= b are those of a larger bound of size <= b.
+    Each entry of terminals is a vertex of g or a group of vertices of g;
+    only vertices of different groups are separated (a group may be split).
+    Terminals are never deleted; one that is not a vertex is a ValueError.
+    A node asks only for the separators that keep its cut within k and below
+    the best cut: the important ones of size <= b are those of a larger
+    bound of size <= b.
     """
     groups = [frozenset({t}) if isinstance(t, str) else frozenset(t)
               for t in terminals]

@@ -232,7 +232,7 @@ def simplify(g: CutGraph, lists: Sequence[RequestList], k: int
     the graph, the deleted set and the budget, so a guess emits each
     distinct list family once.
     """
-    compression = _oracle_compression(g, lists)
+    compression = _oracle_compression(g, lists, k)
     if compression is None:
         return
     mu_in = family_mu(lists)
@@ -273,10 +273,11 @@ def _rename_list(lst: RequestList, renaming: dict) -> RequestList:
     return RequestList(frozenset(pairs))
 
 
-def _oracle_compression(g: CutGraph, lists: Sequence[RequestList]
+def _oracle_compression(g: CutGraph, lists: Sequence[RequestList], k: int
                         ) -> Optional[frozenset]:
+    """A least set of <= k deletable vertices meeting every list, or None."""
     dels = [v for v in g.vertices if g.deletable(v)]
-    return next((frozenset(cut) for cut in subsets(dels)
+    return next((frozenset(cut) for cut in subsets(dels, k)
                  if all(map(_list_check(g, cut), lists))), None)
 
 

@@ -207,10 +207,9 @@ class EqRelation:
 def relation_from_cnf(phi: CnfFormula, arity: int, name: str = "cnf") -> EqRelation:
     if arity > ARITY_CAP:
         raise ArityCapExceeded(f"arity {arity} exceeds cap {ARITY_CAP}")
-    for cl in phi.clauses:
-        for (i, j, _) in cl:
-            if j > arity:
-                raise ValueError(f"literal index {j} outside arity {arity}")
+    for x in sorted({x for cl in phi.clauses for lit in cl for x in lit[:2]}):
+        if not 1 <= x <= arity:
+            raise ValueError(f"literal index {x} outside arity {arity}")
     tuples = frozenset(t for t in all_patterns(arity) if phi.satisfied_by(t))
     return EqRelation(name, arity, tuples)
 

@@ -1,11 +1,11 @@
-"""Triple Multicut via the bijunctive Boolean reduction.
+"""Triple Multicut: component guesses, each finished by a multiway cut.
 
 The solver compresses from the always-feasible solution that deletes every
-triple: it guesses which triples an optimum deletes, partitions the surviving
-triples' vertices into intended components, and encodes the residual vertex
-deletion question as a Boolean constraint-deletion problem whose relations
-all have 2K2-free Gaifman graphs.  The cited Boolean MinCSP black box is
-replaced by a budgeted deletion search over a 2-SAT implication graph.
+triple: it guesses which triples an optimum deletes, which surviving-triple
+vertices it deletes, and a partition (alpha) of the rest into intended
+components, then asks `multiway_cut` to cut the alpha's groups apart.  The
+paper's Boolean encoding of that question, whose relations all have 2K2-free
+Gaifman graphs, stays here as its reference with a 2-SAT deletion search.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .cutgraph import (
     _farthest_min_sep,
     check_vertices,
     component_labels,
+    multiway_cut,
     triple_multicut_feasible,
 )
 from .instances import subsets
@@ -304,8 +305,8 @@ def decode_boolean_solution(removed: frozenset) -> tuple[frozenset, frozenset]:
 def _quotient_classes(g: CutGraph, xs: Sequence[str]) -> list[list[str]]:
     """Merge guessed vertices that every surviving alpha puts together:
     pairs that are adjacent, or that both touch (contain or neighbour) one
-    component of g minus its deletable vertices.  The pins and the crisp
-    edge implications make the split of such a pair crisp-unsatisfiable.
+    component of g minus its deletable vertices.  No vertex outside the
+    guess cuts such a pair apart.
 
     One labelling of those undeletable components and one union-find pass
     give the classes, listed by first vertex, each in guess order.
@@ -337,21 +338,13 @@ def _alpha_partitions(g: CutGraph, classes: list[list[str]],
     class in guess order.  A class is connected in g, so its first vertex
     gives its component.
 
-    The bound drops only alphas whose Boolean encoding (at this budget)
-    has no solution or is crisp-unsatisfiable, so the alphas that survive
-    are the unbounded stream's, in its order:
-
-    1. Take a path of kept vertices from u, pinned to group a, to w,
-       pinned to group b != a.  Its edge and coherence clauses imply
-       hat(u, a) -> (next, a) -> hat(next, a) -> ... -> (w, a), u's pins
-       set hat(u, a) true and w's pins set (w, a) false.  So the deleted
-       vertices z_v must separate the groups in g.
-    2. A guessed vertex's pins satisfy its coherence clauses, so deleting
-       that group never makes the formula satisfiable.  `boolean_solve`
-       returns a minimum-weight set, so it never deletes such a group: the
-       cut uses only vertices outside the classes, at most `budget` of them.
-    3. Placing more classes only enlarges both sides of every check, so a
-       prefix that fails the bound fails it in every completion.
+    The bound is a necessary condition of the leaf's multiway cut, so it
+    drops only alphas that have no cut within the budget, and the alphas
+    that survive are the unbounded stream's, in its order.  A multiway cut
+    of a complete alpha avoids the classes and cuts each placed group from
+    the other placed groups, and placing more classes only enlarges both
+    sides of every check: a prefix that fails the bound fails it in every
+    completion.
     """
     label = component_labels(g, ())
     class_comp = [label(cls[0]) for cls in classes]
@@ -418,13 +411,26 @@ def triple_multicut(g: CutGraph, triples: TripleSet, k: int
 
     Branches: which triples the optimum deletes (only sets of at most k
     triples, as every multiplicity is at least 1), which surviving-triple
-    vertices it deletes, and the component partition of the rest, over
-    the quotient classes of one labelling per vertex guess.  A partition
-    prefix whose groups cannot be cut apart within the remaining budget is
-    dropped before any Boolean encoding is built (see
-    `_alpha_partitions`).  Every acceptance is re-verified against the
-    feasibility predicate, so wrong guesses can only cost time.  ValueError
-    for a triple vertex that is not a vertex of g.
+    vertices it deletes, and the component partition (alpha) of the rest,
+    over the quotient classes of one labelling per vertex guess; prefixes
+    that no cut within the remaining budget b splits are dropped (see
+    `_alpha_partitions`).  An alpha's Boolean encoding is solvable at weight
+    b exactly when `multiway_cut` cuts its groups apart in g1 (g minus the
+    guessed deletions) by b vertices outside the guess:
+    1. Kept u, w pinned to groups a != b and joined by a kept path give
+       hat(u, a) -> (next, a) -> hat(next, a) -> ... -> (w, a) against the
+       pins, by edge and coherence clauses: the deletions separate them.
+    2. If Z separates the groups, set (v, i) and hat(v, i) true exactly for
+       kept v in a component of g1 - Z holding group i; for v in Z set
+       (v, i) true when v has a neighbour there and hat(v, i) false.  All
+       clauses outside Z's coherence groups hold: the triangle ones as alpha
+       gives a triple's kept vertices distinct groups, and its deleted
+       vertices are not in g1, so their variables are free.
+    3. Pins satisfy a pinned vertex's coherence clauses, so a minimum-weight
+       deletion set holds neither such a group nor a triangle group.
+    So the first accepted guess, the verdict, the cost and z_t are the
+    encoding's; z_v may be another cut of the same size.  Acceptances are
+    re-verified.  ValueError for a triple vertex that is not a vertex of g.
     """
     check_vertices(g, (v for tri, _m in triples for v in tri), "triple vertex")
     if k < 0:
@@ -440,28 +446,21 @@ def triple_multicut(g: CutGraph, triples: TripleSet, k: int
         spent_t = sum(tri_mult[t] for t in w_t)
         if spent_t > k:
             continue
-        live = TripleSet(tuple((t, m) for t, m in triples if t not in w_t))
-        protected = [t for t, _m in live]
+        protected = [t for t, _m in triples if t not in w_t]
         x_all = list(dict.fromkeys(v for t in protected for v in sorted(t)))
         x_verts = [v for v in x_all if g.deletable(v)]
         for w_v in subsets(x_verts, k - spent_t):
-            spent = spent_t + len(w_v)
+            b = k - spent_t - len(w_v)  # the budget left for the cut
             g1 = g.without(w_v)
             classes = _quotient_classes(g1, [v for v in x_all if v not in w_v])
-            for alpha in _alpha_partitions(g1, classes, protected,
-                                           k - spent):
-                try:
-                    binst = build_boolean_instance(g1, live, alpha, k - spent,
-                                                   protected)
-                    removed = boolean_solve(binst)
-                except ValueError:
+            for alpha in _alpha_partitions(g1, classes, protected, b):
+                groups = [[v for v, gi in alpha.items() if gi == i]
+                          for i in sorted(set(alpha.values()))]
+                cut = multiway_cut(g1, groups, b)
+                if cut is None:
                     continue
-                if removed is None:
-                    continue
-                z_v, z_t = decode_boolean_solution(removed)
-                z_v, z_t = z_v.union(w_v), z_t.union(w_t)
-                if triple_multicut_feasible(g, triples, z_v, z_t):
-                    cost = len(z_v) + sum(tri_mult[t] for t in z_t)
-                    if cost <= k:
-                        return TripleMulticutResult(True, z_v, z_t)
+                res = TripleMulticutResult(True, cut.union(w_v), frozenset(w_t))
+                if (triple_multicut_feasible(g, triples, res.z_v, res.z_t)
+                        and res.cost(triples) <= k):
+                    return res
     return TripleMulticutResult(False)

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from eqcut import djmc
 from eqcut.cutgraph import CutGraph, RequestList, reachable
 from eqcut.djmc import (
     ListMeasure,
@@ -122,6 +123,27 @@ def test_solve_djmc_contract_random():
             assert res.accepted
         if res.accepted:
             assert all(list_satisfied(g, res.solution, l) for l in lists)
+
+
+def test_compression_guess_stays_within_the_budget(monkeypatch):
+    # s and t are joined by 5 disjoint paths, so cutting them costs 5 > k;
+    # the 30 isolated vertices must not widen the search for a compression
+    # set past the budget (uncapped it tries every set of up to 5 of the
+    # 35 deletable vertices)
+    mids = [f"m{i}" for i in range(5)]
+    free = [f"f{i}" for i in range(30)]
+    g = CutGraph.build(["s", "t", *mids, *free],
+                       [e for m in mids for e in (("s", m), (m, "t"))],
+                       undeletable={"s", "t"})
+    checks, list_check = [], djmc._list_check
+
+    def counting_check(*args):
+        checks.append(args)
+        return list_check(*args)
+
+    monkeypatch.setattr(djmc, "_list_check", counting_check)
+    assert not solve_djmc(g, [RequestList.of(("s", "t"))], 1).accepted
+    assert len(checks) <= 1 + 1 + len(mids) + len(free)
 
 
 def test_solve_djmc_undeletable_singletons():

@@ -85,7 +85,7 @@ def _reference_covers(g, t_set, k):
 def _reference_simplify(g, lists, k):
     """(guess number, branch) for every cover of every guess."""
     dels = [v for v in g.vertices if g.deletable(v)]
-    compression = next((frozenset(cut) for cut in subsets(dels)
+    compression = next((frozenset(cut) for cut in subsets(dels, k)
                         if all(list_satisfied(g, set(cut), l) for l in lists)), None)
     if compression is None:
         return

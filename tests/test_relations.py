@@ -102,6 +102,13 @@ def test_relation_from_cnf_named_rows():
     assert len(nae3.tuples) == 4
 
 
+@pytest.mark.parametrize("lit", [(0, 1, NEQ_OP), (2, 4, EQ_OP), (-1, 2, NEQ_OP)])
+def test_relation_from_cnf_rejects_an_index_outside_the_arity(lit):
+    # index 0 would read the last entry of each tuple, x3 here
+    with pytest.raises(ValueError, match="outside arity 3"):
+        relation_from_cnf(CnfFormula(3, frozenset({clause(lit)})), 3)
+
+
 def test_project():
     assert project(ODD3, (1, 2)).tuples == {(1, 1), (1, 2)}
     assert project(R_AND_EQ_EQ, (1, 3)).tuples == {(1, 1), (1, 2)}

@@ -1,4 +1,5 @@
-"""The flow bound on Triple Multicut's component guesses (alphas).
+"""The flow bound on Triple Multicut's component guesses (alphas), and the
+multiway cut that finishes each alpha.
 
 `_alpha_partitions` drops a partial partition as soon as one of its groups
 cannot be cut from the others within the budget.  The reference below is
@@ -6,6 +7,9 @@ the same enumerator without that bound.  On every guess the solver makes,
 the bounded stream must be the reference stream with some alphas left out,
 in the same order, and each alpha left out must be one whose Boolean
 encoding has no solution within the budget (or is crisp-unsatisfiable).
+On every alpha of the reference stream, the Boolean encoding and
+`multiway_cut` between the alpha's groups must agree: both fail, or both
+succeed with a deletion set of the same weight and no deleted triple.
 """
 
 import itertools
@@ -20,6 +24,8 @@ from eqcut.triple_multicut import (
     _quotient_classes,
     boolean_solve,
     build_boolean_instance,
+    decode_boolean_solution,
+    multiway_cut,
     triple_multicut,
 )
 
@@ -75,12 +81,14 @@ def guesses(g, triples, k):
             yield g1, live, protected, classes, k - spent_t - len(w_v)
 
 
-def unsolvable(g1, live, alpha, budget, protected):
+def boolean_answer(g1, live, alpha, budget, protected):
+    """The encoding's minimum deletion set, or None when it has none within
+    the budget or is crisp-unsatisfiable."""
     try:
         return boolean_solve(build_boolean_instance(g1, live, alpha, budget,
-                                                    protected)) is None
+                                                    protected))
     except ValueError:
-        return True
+        return None
 
 
 def random_graph(rng, n, density, undeletable_share):
@@ -91,15 +99,20 @@ def random_graph(rng, n, density, undeletable_share):
     return CutGraph.build(vs, edges, undeletable=undel)
 
 
-def test_bound_drops_only_unsolvable_alphas_and_keeps_the_order():
+def instances():
+    """2,500 seeded (graph, triples, k) cases."""
     rng = random.Random(21)
-    kept = dropped = 0
     for _ in range(2_500):
         g = random_graph(rng, rng.randint(5, 11), rng.choice([0.15, 0.3, 0.45]),
                          rng.uniform(0.2, 0.6))
         ts = TripleSet.of(*[(tuple(rng.sample(g.vertices, 3)), rng.randint(1, 2))
                             for _ in range(rng.randint(1, 5))])
-        k = rng.randint(0, 4)
+        yield g, ts, rng.randint(0, 4)
+
+
+def test_bound_drops_only_unsolvable_alphas_and_keeps_the_order():
+    kept = dropped = 0
+    for g, ts, k in instances():
         for g1, live, protected, classes, budget in guesses(g, ts, k):
             bounded = [list(a.items()) for a in
                        _alpha_partitions(g1, classes, protected, budget)]
@@ -110,15 +123,38 @@ def test_bound_drops_only_unsolvable_alphas_and_keeps_the_order():
                     kept += 1
                     continue
                 dropped += 1
-                assert unsolvable(g1, live, alpha, budget, protected), \
-                    (g, ts, k, alpha)
+                assert boolean_answer(g1, live, alpha, budget,
+                                      protected) is None, (g, ts, k, alpha)
             assert pos == len(bounded), (g, ts, k)
     assert kept > 0 and dropped > 1_000
 
 
-def test_probe_case_builds_almost_no_encodings(monkeypatch):
-    # a sparse random graph with 4 triples at k = 2; without the bound it
-    # builds 365 encodings, and every one of them has no solution
+def test_multiway_cut_answers_the_boolean_encoding():
+    solved = failed = 0
+    for g, ts, k in instances():
+        for g1, live, protected, classes, budget in guesses(g, ts, k):
+            for alpha in ref_alpha_partitions(g1, classes, protected):
+                groups = [[v for v, gi in alpha.items() if gi == i]
+                          for i in sorted(set(alpha.values()))]
+                cut = multiway_cut(g1, groups, budget)
+                removed = boolean_answer(g1, live, alpha, budget, protected)
+                assert (removed is None) == (cut is None), (g, ts, k, alpha)
+                if cut is None:
+                    failed += 1
+                    continue
+                solved += 1
+                z_v, z_t = decode_boolean_solution(removed)
+                assert z_t == frozenset() and len(z_v) == len(cut), \
+                    (g, ts, k, alpha)
+                # the encoding's deletions avoid the guessed vertices and
+                # cut the groups apart too
+                assert multiway_cut(g1.without(z_v), groups, 0) == frozenset()
+    assert solved > 1_000 and failed > 1_000
+
+
+def test_probe_case_finishes_almost_no_alphas(monkeypatch):
+    # a sparse random graph with 4 triples at k = 2; without the bound 365
+    # alphas reach the leaf, and none of them has a cut within the budget
     n, s = 16, 1
     rng = random.Random(1000 * n + s)
     g = verify.random_graph(rng, n, 3 / n)
@@ -128,13 +164,13 @@ def test_probe_case_builds_almost_no_encodings(monkeypatch):
         t = frozenset(rng.sample(vs, 3))
         if t not in tris:
             tris.append(t)
-    built = []
+    leaves = []
 
-    def counting_build(*args, **kwargs):
-        built.append(args)
-        return build_boolean_instance(*args, **kwargs)
+    def counting_cut(*args):
+        leaves.append(args)
+        return multiway_cut(*args)
 
-    monkeypatch.setattr(tm, "build_boolean_instance", counting_build)
+    monkeypatch.setattr(tm, "multiway_cut", counting_cut)
     res = triple_multicut(g, TripleSet(tuple((t, 1) for t in tris)), 2)
     assert not res.feasible
-    assert len(built) <= 10
+    assert len(leaves) <= 10

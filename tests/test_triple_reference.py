@@ -7,10 +7,14 @@ vertex's undeletable reach with one `reachable` search per vertex, widens it
 by its neighbours to join classes, and lists each alpha's vertices in an
 order grouped by undeletable reach (`order`).  The solver now reads the
 classes off one labelling of the undeletable components and walks only the
-triple sets the budget can pay for.  The classes and the answer
-`(feasible, z_v, z_t)` must equal the reference's.  The reference's alpha
-walk has no flow bound, so the answer test also checks that the solver's
-bound on partial alphas drops no alpha that could change the answer.
+triple sets the budget can pay for, and finishes each alpha with
+`multiway_cut` instead of the Boolean encoding.  The classes must equal the
+reference's.  The answer must have the reference's verdict, deleted
+triples and number of deleted vertices; the deleted vertices themselves
+may be another minimum cut, so every accepted answer is checked feasible
+within the budget.  The reference's alpha walk has no flow bound, so the
+answer test also checks that the solver's bound on partial alphas drops
+no alpha that could change the answer.
 """
 
 import itertools
@@ -178,8 +182,12 @@ def test_triple_multicut_matches_reference():
         ts = TripleSet.of(*tris)
         k = rng.randint(0, 4)
         res = triple_multicut(g, ts, k)
-        assert (res.feasible, res.z_v, res.z_t) == ref_triple_multicut(g, ts, k), \
+        feasible, z_v, z_t = ref_triple_multicut(g, ts, k)
+        assert (res.feasible, len(res.z_v), res.z_t) == (feasible, len(z_v), z_t), \
             (g, ts, k)
+        if res.feasible:
+            assert triple_multicut_feasible(g, ts, res.z_v, res.z_t)
+            assert res.cost(ts) <= k
 
 
 def test_only_affordable_triple_sets_are_walked(monkeypatch):
