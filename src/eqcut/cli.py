@@ -8,7 +8,6 @@ wall-clock so repeated runs are byte-identical.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import random
 import sys
@@ -22,13 +21,21 @@ from .instances import brute_force_cost
 from .relations import EqLanguage
 from .singleton import SingletonExpansion, classify_expansion
 
+try:  # the interpreter's own sha256: hashlib would load OpenSSL (_hashlib)
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
+
 EXIT_ACCEPT = 0
 EXIT_REJECT = 1
 EXIT_ERROR = 2
 
 
 def _digest(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
+    return sha256(text.encode()).hexdigest()[:16]
 
 
 def _report(args, payload: dict, started: float) -> dict:

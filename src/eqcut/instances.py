@@ -1,8 +1,9 @@
 """MinCSP instances over equality languages, cost semantics, and the exact oracle.
 
 The oracle enumerates set partitions of the variables (canonical assignments
-are partition patterns), with constant labels on blocks only where assignment
-constraints force the distinction.
+are partition patterns), checking relation constraints once per partition, and
+labels blocks with constants only where assignment constraints force the
+distinction, checking those once per labelling.
 """
 
 from __future__ import annotations
@@ -21,7 +22,11 @@ DEFAULT_ORACLE_CAP = 12
 
 
 def oracle_cap() -> int:
-    return int(os.environ.get("EQCUT_ORACLE_CAP", DEFAULT_ORACLE_CAP))
+    raw = os.environ.get("EQCUT_ORACLE_CAP", str(DEFAULT_ORACLE_CAP))
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"EQCUT_ORACLE_CAP must be an integer, got {raw!r}") from None
 
 
 class OracleCapExceeded(ValueError):
@@ -146,8 +151,7 @@ class Assignment:
     def from_blocks(blocks: Iterable[Iterable[str]], labels: Optional[dict] = None
                     ) -> "Assignment":
         labels = labels or {}
-        used = [c for c in labels.values()]
-        if len(used) != len(set(used)):
+        if len(set(labels.values())) != len(labels):
             raise ValueError("distinct blocks must carry distinct constants")
         values = {}
         fresh = 0
@@ -242,9 +246,6 @@ def _labelings(wanted: list[set]) -> Iterator[dict]:
     """Injective partial maps block-index -> constant, restricted to constants
     some member of the block is assigned to (plus the unlabeled option)."""
     anchored = [i for i, w in enumerate(wanted) if w]
-    if not anchored:
-        yield {}
-        return
 
     def rec(pos: int, used: frozenset, acc: dict) -> Iterator[dict]:
         if pos == len(anchored):
@@ -262,45 +263,67 @@ def _labelings(wanted: list[set]) -> Iterator[dict]:
     yield from rec(0, frozenset(), {})
 
 
-def _assignments(inst: MinCspInstance) -> Iterator[Assignment]:
-    """Every canonical assignment: each partition of the variables, with
-    constants on blocks only where assignment constraints ask for them."""
+def _partitions(inst: MinCspInstance) -> Iterator[tuple[list, dict, Iterable]]:
+    """Each partition of the variables, with every variable's block index and
+    the partition's labellings ({} alone when no constraint assigns one)."""
     assign_wants: dict = {}
     for c in inst.constraints:
         if c.is_assignment():
             assign_wants.setdefault(c.scope[0], set()).add(c.value)
     for blocks in set_partitions(inst.variables):
-        # without assignment constraints the only labelling is the empty one;
-        # building the label candidates anyway slows the oracle by about half
+        index = {v: i for i, block in enumerate(blocks) for v in block}
         labelings: Iterable[dict] = ({},)
         if assign_wants:
             labelings = _labelings([
                 set().union(*(assign_wants.get(v, set()) for v in b))
                 for b in blocks])
-        for labels in labelings:
-            yield Assignment.from_blocks(blocks, labels)
+        yield blocks, index, labelings
 
 
 def oracle_optimum(inst: MinCspInstance, cap: Optional[int] = None
                    ) -> tuple[CostReport, Optional[Assignment]]:
-    """Minimum cost over all assignments, by partition enumeration."""
+    """Minimum cost over all assignments, by partition enumeration: the first
+    cheapest in (partition, labelling) order, or (CostReport(INF), None).
+
+    Relation patterns are read off block indices (distinct blocks get distinct
+    values).  A crisp violation, or a cost reaching the best so far, ends a
+    partition or labelling, and only a strictly cheaper assignment replaces
+    the best, so the first optimum stays first.  The one labelling of a
+    partition that can violate no assignment constraint costs the relation
+    cost, below the best at the partition's start and below its siblings.
+    """
     cap = cap if cap is not None else oracle_cap()
     if len(inst.variables) > cap:
         raise OracleCapExceeded(
             f"{len(inst.variables)} variables exceeds oracle cap {cap}")
-    best: tuple[CostReport, Optional[Assignment]] = (CostReport(INF), None)
-    for assignment in _assignments(inst):
-        report = assignment_cost(inst, assignment)
-        if report.cost < best[0].cost:
-            best = (report, assignment)
-            if report.cost == 0:
-                break
+    relations = [c for c in inst.constraints if not c.is_assignment()]
+    assigns = [c for c in inst.constraints if c.is_assignment()]
+    best_cost, best = INF, (CostReport(INF), None)
+    for blocks, index, labelings in _partitions(inst):
+        cost = 0
+        for c in relations:
+            if canonicalize([index[v] for v in c.scope]) not in c.relation.tuples:
+                cost = INF if c.kind == "crisp" else cost + c.multiplicity
+                if cost >= best_cost:
+                    break
+        else:
+            for labels in labelings:
+                total = cost
+                for c in assigns:
+                    if labels.get(index[c.scope[0]]) != c.value:
+                        total = INF if c.kind == "crisp" else total + c.multiplicity
+                        if total >= best_cost:
+                            break
+                else:
+                    found = Assignment.from_blocks(blocks, labels)
+                    best_cost, best = total, (assignment_cost(inst, found), found)
+                    if total == 0:
+                        return best
     return best
 
 
 def brute_force_cost(inst: MinCspInstance, cap: Optional[int] = None) -> CostReport:
-    report, _ = oracle_optimum(inst, cap)
-    return report
+    return oracle_optimum(inst, cap)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -309,22 +332,27 @@ def brute_force_cost(inst: MinCspInstance, cap: Optional[int] = None) -> CostRep
 
 def pattern_costs(gadget: MinCspInstance) -> dict:
     """Primary pattern -> minimum gadget cost over the assignments that
-    produce it; patterns no assignment produces are absent.
-
-    Crisp constraints count their multiplicity like soft ones, because
-    inline_gadget re-kinds every inlined constraint.
+    produce it, keyed in the order the walk meets them (patterns no
+    assignment produces are absent), and read off block indices as in
+    oracle_optimum.  Crisp constraints count their multiplicity like soft
+    ones, because inline_gadget re-kinds every inlined constraint.
     """
+    relations = [c for c in gadget.constraints if not c.is_assignment()]
+    assigns = [c for c in gadget.constraints if c.is_assignment()]
     costs: dict = {}
-    for assignment in _assignments(gadget):
-        pattern = canonicalize([assignment[v] for v in gadget.primaries])
+    for _blocks, index, labelings in _partitions(gadget):
+        pattern = canonicalize([index[v] for v in gadget.primaries])
         best, cost = costs.get(pattern, INF), 0
-        for c in gadget.constraints:
-            if cost >= best:
-                break
-            if _constraint_violated(c, assignment):
+        for c in relations:
+            if canonicalize([index[v] for v in c.scope]) not in c.relation.tuples:
                 cost += c.multiplicity
-        if cost < best:
-            costs[pattern] = cost
+                if cost >= best:
+                    break
+        else:
+            costs[pattern] = min(best, *(cost + sum(
+                c.multiplicity for c in assigns
+                if labels.get(index[c.scope[0]]) != c.value)
+                for labels in labelings))
     return costs
 
 

@@ -57,41 +57,6 @@ def edge_multicut_opt(g: CutGraph, requests: Sequence[tuple[str, str]]
         g, lambda gg: all(t not in reachable(gg, [s]) for s, t in requests))
 
 
-def vertex_multicut_opt(g: CutGraph, requests: Sequence[tuple[str, str]]
-                        ) -> Optional[frozenset]:
-    return _smallest(_deletable_vertices(g), lambda cut: all(
-        separates(g, cut, s, t) for s, t in requests))
-
-
-def multiway_cut_opt(g: CutGraph, terminals: Sequence) -> Optional[frozenset]:
-    groups = [frozenset({t}) if isinstance(t, str) else frozenset(t)
-              for t in terminals]
-    pairs = [(a, b)
-             for (i, grp1), (j, grp2) in itertools.combinations(enumerate(groups), 2)
-             for a in grp1 for b in grp2 if i != j]
-    dels = [v for v in _deletable_vertices(g)
-            if all(v not in grp for grp in groups)]
-    return _smallest(dels, lambda cut: all(
-        t not in reachable(g, [s], cut) for s, t in pairs))
-
-
-def all_min_separators(g: CutGraph, s: str, targets: Sequence[str],
-                       cut_targets: bool = True) -> list[frozenset]:
-    """All minimum s-target separators (vertex sets), by subset enumeration."""
-    dels = [v for v in _deletable_vertices(g) if v != s]
-    if not cut_targets:
-        dels = [v for v in dels if v not in targets]
-
-    def ok(cut: set) -> bool:
-        return all(separates(g, cut, s, t) for t in targets)
-
-    first = _smallest(dels, ok)
-    if first is None:
-        return []
-    return [frozenset(rm) for rm in itertools.combinations(dels, len(first))
-            if ok(set(rm))]
-
-
 def steiner_multicut_vertex_opt(g: CutGraph, t_sets: Sequence[Iterable[str]],
                                 forbidden: Iterable[str] = ()
                                 ) -> Optional[frozenset]:

@@ -360,3 +360,41 @@ def test_nonpositive_triple_multiplicity_is_input_error(tmp_path, capsys):
     code, _, err = run_cli(["solve", "triple-mc", "--in", str(p), "-k", "0"],
                            capsys)
     assert code == 2 and "multiplicity" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5", ""])
+def test_bad_oracle_cap_error_names_the_variable(tmp_path, capsys,
+                                                  monkeypatch, value):
+    p = tmp_path / "c.inst"
+    p.write_text("soft = x y\n")
+    monkeypatch.setenv("EQCUT_ORACLE_CAP", value)
+    code, _, err = run_cli(["solve", "oracle", "--in", str(p), "-k", "0"],
+                           capsys)
+    assert code == 2
+    assert err == f"error: EQCUT_ORACLE_CAP must be an integer, got {value!r}\n"
+
+
+@pytest.mark.parametrize("text", ["", "relation eq 2\ntuple 1 1\n",
+                                  "é中\U0001f600\n" * 40])
+def test_input_digest_is_the_sha256_prefix(text):
+    import hashlib
+
+    from eqcut.cli import _digest
+
+    assert _digest(text) == hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def test_cli_import_leaves_openssl_unloaded():
+    # the digest comes from the interpreter's built-in sha256 module where
+    # there is one; hashlib would load the OpenSSL binding _hashlib
+    code = ("import importlib.util, sys\n"
+            "import eqcut.cli\n"
+            "builtin = any(importlib.util.find_spec(m) for m in "
+            "('_sha2', '_sha256'))\n"
+            "print(builtin, '_hashlib' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=_subprocess_env())
+    assert proc.returncode == 0, proc.stderr
+    builtin, loaded = proc.stdout.split()
+    if builtin == "True":
+        assert loaded == "False"

@@ -14,12 +14,43 @@ from eqcut.cutgraph import (
     reachable,
     separates,
 )
-from eqcut.oracles import (
-    all_min_separators,
-    edge_multicut_opt,
-    multiway_cut_opt,
-    vertex_multicut_opt,
-)
+from eqcut.oracles import _deletable_vertices, _smallest, edge_multicut_opt
+
+
+# Exhaustive references for the cut primitives, by subset enumeration.
+
+
+def vertex_multicut_opt(g, requests):
+    return _smallest(_deletable_vertices(g), lambda cut: all(
+        separates(g, cut, s, t) for s, t in requests))
+
+
+def multiway_cut_opt(g, terminals):
+    groups = [frozenset({t}) if isinstance(t, str) else frozenset(t)
+              for t in terminals]
+    pairs = [(a, b)
+             for (i, grp1), (j, grp2) in itertools.combinations(enumerate(groups), 2)
+             for a in grp1 for b in grp2 if i != j]
+    dels = [v for v in _deletable_vertices(g)
+            if all(v not in grp for grp in groups)]
+    return _smallest(dels, lambda cut: all(
+        t not in reachable(g, [s], cut) for s, t in pairs))
+
+
+def all_min_separators(g, s, targets, cut_targets=True):
+    """All minimum s-target separators (vertex sets)."""
+    dels = [v for v in _deletable_vertices(g) if v != s]
+    if not cut_targets:
+        dels = [v for v in dels if v not in targets]
+
+    def ok(cut):
+        return all(separates(g, cut, s, t) for t in targets)
+
+    first = _smallest(dels, ok)
+    if first is None:
+        return []
+    return [frozenset(rm) for rm in itertools.combinations(dels, len(first))
+            if ok(set(rm))]
 
 
 def test_components():
