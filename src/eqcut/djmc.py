@@ -2,9 +2,10 @@
 
 Each Simplify call is a branch stream: the iterative-compression guesses, a
 multiway-cut normalization, a deterministic stand-in for randomized shadow
-covering (one branch per candidate transversal), and the four per-list
-rewrite rules.  The main loop doubles the budget per iteration and verifies
-the assembled solution against the original instance.
+covering (one branch per candidate transversal, with its exact shadow), and
+the per-list rewrite rules in the only cases that exact cover reaches.  The
+main loop doubles the budget per iteration and verifies the assembled
+solution against the original instance.
 """
 
 from __future__ import annotations
@@ -33,26 +34,9 @@ def mu2(lst: RequestList) -> int:
     return sum(1 for p in lst.pairs if len(p) == 2)
 
 
-@dataclass(frozen=True)
-class ListMeasure:
-    mu1: int
-    mu2: int
-
-    @property
-    def mu(self) -> int:
-        return self.mu1 + 3 * self.mu2
-
-    @property
-    def nu(self) -> int:
-        return self.mu1 + 2 * self.mu2
-
-    @staticmethod
-    def of(lst: RequestList) -> "ListMeasure":
-        return ListMeasure(mu1(lst), mu2(lst))
-
-
 def family_mu(lists: Sequence[RequestList]) -> int:
-    return max((ListMeasure.of(l).mu for l in lists), default=0)
+    """The largest mu = mu1 + 3 mu2 over the lists, 0 for none."""
+    return max((mu1(l) + 3 * mu2(l) for l in lists), default=0)
 
 
 def family_mu2(lists: Sequence[RequestList]) -> int:
@@ -60,7 +44,8 @@ def family_mu2(lists: Sequence[RequestList]) -> int:
 
 
 def family_nu(lists: Sequence[RequestList]) -> int:
-    return max((ListMeasure.of(l).nu for l in lists), default=0)
+    """The largest nu = mu1 + 2 mu2 over the lists, 0 for none."""
+    return max((mu1(l) + 2 * mu2(l) for l in lists), default=0)
 
 
 def list_satisfied(g: CutGraph, cut: Iterable[str], lst: RequestList) -> bool:
@@ -122,18 +107,17 @@ def compute_rv(g: CutGraph, r_set: Iterable[str], x_set: Iterable[str],
     """The canonical X-v separator drawn from R: empty when v cannot reach X,
     v itself when v is next to X or inside R, else R's boundary around the
     shadow component of v."""
-    fixed = _rv_without_r(g, set(x_set), v)
-    return fixed if fixed is not None else _rv_from_r(g, r_set, v)
-
-
-def _rv_without_r(g: CutGraph, x_set: set, v: str) -> Optional[frozenset]:
-    """The cases of compute_rv that do not look at R, or None."""
-    if v in x_set:
-        return frozenset({v})
-    if not (reachable(g, [v]) & x_set):
+    x_set = set(x_set)
+    if v not in x_set and not (reachable(g, [v]) & x_set):
         return frozenset()
+    return _rv_near_x(g, x_set, v) or _rv_from_r(g, r_set, v)
+
+
+def _rv_near_x(g: CutGraph, x_set: set, v: str) -> Optional[frozenset]:
+    """compute_rv for a v that reaches X, where it does not look at R: {v}
+    when v is in X or next to it, else None."""
     idx = g._index
-    if any(idx.names[u] in x_set for u in idx.nbrs[idx.pos[v]]):
+    if v in x_set or any(idx.names[u] in x_set for u in idx.nbrs[idx.pos[v]]):
         return frozenset({v})
     return None
 
@@ -164,16 +148,20 @@ class SimplifyBranch:
 
 
 def _rule_plan(g3: CutGraph, lists: Sequence[RequestList], x2: Sequence[str]
-               ) -> Optional[list]:
+               ) -> list:
     """The part of rules R1-R4 that no shadow cover changes, for one guess.
 
     Per list, either its R1-shortened form, or the separated pair (s, t),
     the other pairs, and R_s and R_t where they do not depend on R (None
-    where they do).  None when the compression set fails a list: then the
-    guess is off for every cover.
+    where they do).  The pair always exists: X satisfies every list, the
+    lists met by W or M are gone, and R1 drops the hub singletons that a
+    request on X - W or a pair inside one class became; any other request X
+    settles is a pair the hubs separate in g3.  Both its ends reach X, as M
+    leaves them joined in g3, so compute_rv's empty case never arises here.
     """
     x2set = set(x2)
     label = component_labels(g3, x2set)
+    joined = component_labels(g3, ())
     plan: list = []
     for lst in lists:
         shortened = RequestList(frozenset(
@@ -183,18 +171,24 @@ def _rule_plan(g3: CutGraph, lists: Sequence[RequestList], x2: Sequence[str]
             continue
         pairs = [sorted(p) for p in sorted(lst.pairs, key=sorted) if len(p) == 2]
         chosen = next(((s, t) for s, t in pairs if label(s) != label(t)), None)
-        if chosen is None:
-            return None
+        assert chosen is not None, "the compression set fails a list"
         s, t = chosen
+        assert joined(s) == joined(t), "M satisfies a list it was kept for"
         rest = frozenset(p for p in lst.pairs if p != frozenset({s, t}))
-        plan.append((s, t, rest, _rv_without_r(g3, x2set, s),
-                     _rv_without_r(g3, x2set, t)))
+        plan.append((s, t, rest, _rv_near_x(g3, x2set, s),
+                     _rv_near_x(g3, x2set, t)))
     return plan
 
 
 def _apply_rules(g3: CutGraph, plan: list, r_set: frozenset, k: int
                  ) -> list[RequestList]:
-    """Rules R1-R4 for one shadow cover, whose complement is R."""
+    """Rules R1-R4 for one shadow cover, whose complement is R.
+
+    Only the case where both R_s and R_t fit the budget arises: R_v is {v},
+    or the neighbours of v's component in G - Y, which all lie in the
+    transversal Y (one outside Y that reached T would put v in R).  At
+    k = 0, X is empty only when every list is met: there is no plan step.
+    """
     out: list[RequestList] = []
     for step in plan:
         if isinstance(step, RequestList):
@@ -205,20 +199,10 @@ def _apply_rules(g3: CutGraph, plan: list, r_set: frozenset, k: int
             rs = _rv_from_r(g3, r_set, s)
         if rt is None:
             rt = _rv_from_r(g3, r_set, t)
-        big_s, big_t = len(rs) > k, len(rt) > k
-        if big_s and big_t:
-            out.append(RequestList(rest))
-        elif not big_s and big_t:
-            for a in sorted(rs):
-                out.append(RequestList(rest | {frozenset({a})}))
-        elif big_s and not big_t:
+        assert len(rs) <= k and len(rt) <= k, "a separator outgrew the budget"
+        for a in sorted(rs):
             for b in sorted(rt):
-                out.append(RequestList(rest | {frozenset({b})}))
-        else:
-            for a in sorted(rs):
-                for b in sorted(rt):
-                    out.append(RequestList(rest | {frozenset({a}),
-                                                   frozenset({b})}))
+                out.append(RequestList(rest | {frozenset({a}), frozenset({b})}))
     return out
 
 
@@ -250,8 +234,6 @@ def simplify(g: CutGraph, lists: Sequence[RequestList], k: int
             m_check = _list_check(g2, m)
             l3 = [l for l in l2 if not m_check(l)]
             plan = _rule_plan(g3, l3, hubs)
-            if plan is None:
-                continue
             seen = set()
             for r_set in shadow_cover(g3, hubs, k):
                 out_lists = tuple(_apply_rules(g3, plan, r_set, k))
@@ -267,10 +249,8 @@ def simplify(g: CutGraph, lists: Sequence[RequestList], k: int
 
 
 def _rename_list(lst: RequestList, renaming: dict) -> RequestList:
-    pairs = []
-    for p in lst.pairs:
-        pairs.append(frozenset(renaming.get(v, v) for v in p))
-    return RequestList(frozenset(pairs))
+    return RequestList(frozenset(frozenset(renaming.get(v, v) for v in p)
+                                 for p in lst.pairs))
 
 
 def _oracle_compression(g: CutGraph, lists: Sequence[RequestList], k: int
@@ -303,25 +283,16 @@ def solve_djmc(g: CutGraph, lists: Sequence[RequestList], k: int) -> DjmcResult:
         return DjmcResult(False)
     depth_bound = 3 * max((len(l) for l in lists), default=1) + 1
 
-    def endgame(gg: CutGraph, ll: Sequence[RequestList], budget: int
-                ) -> Optional[frozenset]:
-        sets = []
-        for lst in ll:
-            elems = {next(iter(p)) for p in lst.pairs if len(p) == 1}
-            elems = {v for v in elems if gg.deletable(v)}
-            # non-singleton leftovers cannot appear here
-            sets.append(elems)
-        hs = hitting_set_branch(sets, budget)
-        return hs
-
     def rec(gg: CutGraph, ll: list[RequestList], budget: int, depth: int
             ) -> Optional[frozenset]:
         check = _list_check(gg, ())
         ll = [l for l in ll if not check(l)]
         if not ll:
             return frozenset()
-        if family_mu2(ll) == 0:
-            return endgame(gg, ll, budget)
+        if family_mu2(ll) == 0:  # the endgame: hit each list's singletons
+            return hitting_set_branch(
+                [{v for p in l.pairs if len(p) == 1 for v in p
+                  if gg.deletable(v)} for l in ll], budget)
         if depth > depth_bound:
             return None
         for branch in simplify(gg, ll, budget):

@@ -208,13 +208,7 @@ def print_instance(inst: MinCspInstance) -> str:
     out = [f"instance {inst.name}"]
     for v in inst.variables:
         out.append(f"var {v}")
-    for c in inst.constraints:
-        if c.is_assignment():
-            m = f" *{c.multiplicity}" if c.multiplicity > 1 else ""
-            out.append(f"{c.kind}-assign {c.scope[0]} = {c.value}{m}")
-        else:
-            m = f" *{c.multiplicity}" if c.multiplicity > 1 else ""
-            out.append(f"{c.kind} {c.relation.name} {' '.join(c.scope)}{m}")
+    out.extend(c.describe() for c in inst.constraints)
     return "\n".join(out) + "\n"
 
 

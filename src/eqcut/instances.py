@@ -173,9 +173,6 @@ class CostReport:
     cost: float
     violated: tuple[Constraint, ...] = ()
 
-    def finite(self) -> bool:
-        return self.cost < INF
-
 
 def _constraint_violated(c: Constraint, assignment: Assignment) -> bool:
     if c.is_assignment():

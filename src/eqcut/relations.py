@@ -193,9 +193,6 @@ class EqRelation:
     def is_constant(self) -> bool:
         return (1,) * self.arity in self.tuples
 
-    def contains(self, raw: Sequence) -> bool:
-        return canonicalize(raw) in self.tuples
-
     def renamed(self, name: str) -> "EqRelation":
         return EqRelation(name, self.arity, self.tuples)
 

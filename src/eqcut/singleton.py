@@ -193,18 +193,6 @@ def slice_properties(d: SliceLanguage) -> SliceFlags:
     return SliceFlags(trivial, posconj, connected, affine, zero_one)
 
 
-CASES = (
-    "equivalent-to-base",
-    "trivial",
-    "P",
-    "boolean-equivalent",
-    "strictly-negative-FPT",
-    "positive-conjunctive-family",
-    "HS-hard-Horn",
-    "csp-NP-hard",
-)
-
-
 @dataclass(frozen=True)
 class ExpansionVerdict:
     case: str

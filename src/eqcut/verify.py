@@ -264,9 +264,8 @@ def check_steiner_2approx(rng: random.Random, trials: int) -> bool:
         out = steiner_2approx(g, t_sets, k)
         if opt is not None and len(opt) <= k and out is None:
             return False
-        if out is not None and (opt is None or len(out) > 2 * max(len(opt), 0)):
-            if not (len(out) == 0 and opt is not None and len(opt) == 0):
-                return False
+        if out is not None and (opt is None or len(out) > 2 * len(opt)):
+            return False
     return True
 
 

@@ -133,8 +133,9 @@ def test_reduce_verify_infeasible_triple_mc(tmp_path, capsys):
 
 
 def test_reduce_hitting_set(tmp_path, capsys):
+    # a set of 3 or more elements takes the ODD3 chain step
     p = tmp_path / "sets.txt"
-    p.write_text("set a b\nset b c\n")
+    p.write_text("set a b\nset b c\nset a c d\n")
     for name in ("hs-to-odd3", "hs-to-odd3-constants"):
         out_path = tmp_path / f"{name}.inst"
         code, out, _ = run_cli(
@@ -142,6 +143,55 @@ def test_reduce_hitting_set(tmp_path, capsys):
              "--verify", "--report", "machine"], capsys)
         assert code == 0 and json.loads(out)["oracle_equal"] is True
         assert out_path.read_text().startswith("instance")
+
+
+def test_verify_lemmas_all_pass(capsys):
+    code, out, _ = run_cli(["verify-lemmas", "--trials", "2", "--seed", "0"],
+                           capsys)
+    lines = out.splitlines()
+    assert code == 0
+    assert sum(line.startswith("PASS") for line in lines) == 14
+    assert not any(line.startswith("FAIL") for line in lines)
+
+
+def test_solve_neg_fpt_accept_and_reject(tmp_path, capsys):
+    # neq3 on three variables all assigned 1: dropping it costs 1
+    p = tmp_path / "neg.inst"
+    p.write_text("soft-assign x = 1\nsoft-assign y = 1\nsoft-assign z = 1\n"
+                 "soft neq3 x y z\n")
+    for k, code_expected in (("1", 0), ("0", 1)):
+        code, out, _ = run_cli(["solve", "neg-fpt", "--in", str(p), "-k", k,
+                                "--report", "machine"], capsys)
+        assert code == code_expected
+        assert json.loads(out)["accepted"] is (code_expected == 0)
+
+
+@pytest.mark.parametrize("name,filename,text", [
+    # every list names exactly 3 vertices, one NAE3 gadget each
+    ("steiner-to-nae3", "g.graph",
+     "graph g\nedge a b\nedge b c\nedge a c\nedge c d\nedge d e\n"
+     "edge e a\nlist (a,b) (b,c)\nlist (c,d) (d,e)\n"),
+    ("rneq-to-djmc", "r.inst",
+     "soft rneq1 a b\nsoft rneq2 a b c d\ncrisp rneq1 c d\nsoft = a b\n"),
+])
+def test_reduce_verify_matches_oracle(tmp_path, capsys, name, filename, text):
+    p = tmp_path / filename
+    p.write_text(text)
+    code, out, _ = run_cli(
+        ["reduce", name, "--in", str(p), "--out", str(tmp_path / "out"),
+         "-k", "2", "--verify", "--report", "machine"], capsys)
+    assert code == 0 and json.loads(out)["oracle_equal"] is True
+
+
+@pytest.mark.parametrize("text,message", [
+    ("set a b\nelem c\n", "line 2: expected 'set ...', got 'elem'"),
+    ("set a\nset\n", "line 2: empty set"),
+])
+def test_hitting_set_parse_errors(tmp_path, capsys, text, message):
+    p = tmp_path / "sets.txt"
+    p.write_text(text)
+    code, out, err = run_cli(["reduce", "hs-to-odd3", "--in", str(p)], capsys)
+    assert code == 2 and out == "" and message in err
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

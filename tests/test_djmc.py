@@ -6,12 +6,13 @@ import pytest
 from eqcut import djmc
 from eqcut.cutgraph import CutGraph, RequestList, reachable
 from eqcut.djmc import (
-    ListMeasure,
     compute_rv,
     family_mu,
     family_mu2,
     family_nu,
     list_satisfied,
+    mu1,
+    mu2,
     shadow_cover,
     simplify,
     solve_djmc,
@@ -23,10 +24,9 @@ from eqcut.solvers import steiner_2approx
 
 def test_measures():
     lst = RequestList.of(("a", "b"), ("c",))
-    m = ListMeasure.of(lst)
-    assert (m.mu1, m.mu2, m.mu, m.nu) == (1, 1, 4, 3)
-    assert m.mu == len(lst) + 2 * m.mu2
-    assert family_mu([lst]) == 4 and family_nu([lst]) == 3
+    mu, nu = family_mu([lst]), family_nu([lst])
+    assert (mu1(lst), mu2(lst), mu, nu) == (1, 1, 4, 3)
+    assert mu == len(lst) + 2 * mu2(lst)
     assert family_mu([]) == 0
 
 

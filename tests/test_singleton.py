@@ -1,6 +1,8 @@
 import itertools
 import random
 
+import pytest
+
 from conftest import relations_up_to_symmetry
 from eqcut.relations import (
     EQ,
@@ -12,6 +14,7 @@ from eqcut.relations import (
     R_AND_EQ_EQ,
     EqLanguage,
     EqRelation,
+    all_patterns,
 )
 from eqcut.singleton import (
     SingletonExpansion,
@@ -102,6 +105,58 @@ def test_expansion_structure_cases():
         clause((1, 2, EQ_OP), (3, 4, EQ_OP))})), 4, "or_eq")
     v = classify_expansion(SingletonExpansion(EqLanguage.of(or_eq, NEQ), 2))
     assert v.case == "csp-NP-hard"
+
+
+def _rel(arity, *patterns):
+    return EqRelation.from_tuples(
+        "r", arity, [tuple(map(int, p)) for p in patterns])
+
+
+def _not_all_distinct(arity):
+    return EqRelation("nad", arity, frozenset(
+        t for t in all_patterns(arity) if len(set(t)) < arity))
+
+
+def _verdict(case, csp, mincsp, parameterized=None, approx=None, *notes):
+    return {"case": case, "csp": csp, "mincsp": mincsp,
+            "parameterized": parameterized, "approx": approx, "base": None,
+            "notes": list(notes)}
+
+
+# One witness per verdict leaf that no named case above reaches.
+LEAF_CASES = [
+    ((), 2, _verdict("P", "P", "P", "FPT", "trivial",
+                     "empty base language")),
+    ((_rel(3, "111", "123"),), "inf",
+     _verdict("HS-hard-Horn", "P", "NP-hard", "HittingSet-hard",
+              "HittingSet-hard")),
+    ((_rel(3, "111", "112", "121"),), "inf",
+     _verdict("csp-NP-hard", "NP-hard", "NP-hard")),
+    ((_rel(4, "1111", "1123", "1211"),), 2,
+     _verdict("csp-NP-hard", "NP-hard", "NP-hard")),
+    ((_not_all_distinct(3),), 2,
+     _verdict("boolean-equivalent", "P", "P", "FPT", "trivial",
+              "trivial Boolean slice")),
+    ((_rel(4, "1111", "1122"),), 2,
+     _verdict("boolean-equivalent", "P", "NP-hard", "W[1]-hard", "poly-const",
+              "disconnected positive conjunctive slice")),
+    ((_rel(3, "111", "112", "121"),), 2,
+     _verdict("boolean-equivalent", "NP-hard", "NP-hard", None, None,
+              "Boolean slice beyond affine")),
+    ((_not_all_distinct(4),), 3,
+     _verdict("positive-conjunctive-family", "P", "P", "FPT", "trivial",
+              "trivial slice (c=3)")),
+]
+
+
+@pytest.mark.parametrize("rels,constants,expected", LEAF_CASES, ids=[
+    "empty-language", "horn-inf", "non-horn-inf",
+    "non-horn-no-collapse", "trivial-boolean-slice",
+    "disconnected-boolean-slice", "boolean-beyond-affine",
+    "trivial-slice-c3"])
+def test_expansion_verdict_leaves(rels, constants, expected):
+    v = classify_expansion(SingletonExpansion(EqLanguage.of(*rels), constants))
+    assert v.as_dict() == expected
 
 
 def test_expansion_q_relation():
