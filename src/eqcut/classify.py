@@ -9,7 +9,6 @@ from .relations import (
     EqLanguage,
     EqRelation,
     essential_projection,
-    is_conjunctive,
     is_horn,
     is_negative,
     is_neq3,
@@ -50,38 +49,27 @@ class Verdict:
         }
 
 
-@dataclass(frozen=True)
-class RelationFlags:
-    name: str
-    constant: bool
-    horn: bool
-    negative: bool
-    strictly_negative: bool
-    conjunctive: bool
-    split: bool
-    neq3: bool
-    redundant: tuple[int, ...]
+def _split_or_neq3(rel: EqRelation) -> bool:
+    """Whether the relation's essential projection is split or NEQ3."""
+    ess, _ = essential_projection(rel)
+    return is_split(ess) or is_neq3(ess)
 
 
-def relation_flags(rel: EqRelation) -> RelationFlags:
-    """Classification flags; split/NEQ3 are judged on the essential projection."""
-    ess, kept = essential_projection(rel)
-    redundant = tuple(i for i in range(1, rel.arity + 1) if i not in kept)
-    return RelationFlags(
-        name=rel.name,
-        constant=rel.is_constant(),
-        horn=is_horn(rel),
-        negative=is_negative(rel),
-        strictly_negative=is_strictly_negative(rel),
-        conjunctive=is_conjunctive(rel),
-        split=is_split(ess),
-        neq3=is_neq3(ess),
-        redundant=redundant,
-    )
+# The paper's case split after the trivial languages: the first test that
+# some relation fails decides the verdict, and that relation is the witness.
+# Horn languages that are neither constant nor strictly negative implement
+# both equality and disequality, so their MinCSP is NP-hard.
+_CASES = (
+    (is_horn, (CSP_NP_HARD, CSP_NP_HARD, PARAM_HS, APPROX_HS), "not-horn"),
+    (is_negative, (CSP_P, CSP_NP_HARD, PARAM_HS, APPROX_HS),
+     "horn-not-negative"),
+    (_split_or_neq3, (CSP_P, CSP_NP_HARD, PARAM_W1, APPROX_FPT),
+     "negative-not-split-not-neq3"),
+)
 
 
 def classify_language(lang: EqLanguage, with_eq_neq: bool = False) -> Verdict:
-    """Decision tree over the fragment flags of the language's relations.
+    """The paper's case split, each test run only when its case is reached.
 
     Improper relations are rejected outright.  With with_eq_neq=True, binary
     equality and disequality are added to the language before classifying.
@@ -94,34 +82,15 @@ def classify_language(lang: EqLanguage, with_eq_neq: bool = False) -> Verdict:
         if not rel.is_proper():
             raise ImproperRelationError(
                 f"relation {rel.name!r} is {'empty' if rel.is_empty() else 'complete'}")
-    flags = [relation_flags(r) for r in lang]
-
-    all_constant = all(f.constant for f in flags)
-    all_sneg = all(f.strictly_negative for f in flags)
-    all_horn = all(f.horn for f in flags)
-    all_negative = all(f.negative for f in flags)
-
-    if all_constant or all_sneg:
-        reason = "constant" if all_constant else "strictly-negative"
+    first = next(iter(lang)).name
+    if all(r.is_constant() for r in lang):
         return Verdict(CSP_P, CSP_P, PARAM_FPT, APPROX_TRIVIAL,
-                       witness=(flags[0].name, reason))
-
-    if not all_horn:
-        bad = next(f for f in flags if not f.horn)
-        return Verdict(CSP_NP_HARD, CSP_NP_HARD, PARAM_HS, APPROX_HS,
-                       witness=(bad.name, "not-horn"))
-
-    # Horn, neither constant nor strictly negative: the language implements
-    # both equality and disequality and MinCSP is NP-hard.
-    if not all_negative:
-        bad = next(f for f in flags if not f.negative)
-        return Verdict(CSP_P, CSP_NP_HARD, PARAM_HS, APPROX_HS,
-                       witness=(bad.name, "horn-not-negative"))
-
-    hard = next((f for f in flags if not (f.split or f.neq3)), None)
-    if hard is not None:
-        return Verdict(CSP_P, CSP_NP_HARD, PARAM_W1, APPROX_FPT,
-                       witness=(hard.name, "negative-not-split-not-neq3"))
-
-    return Verdict(CSP_P, CSP_NP_HARD, PARAM_FPT, APPROX_FPT,
-                   witness=None)
+                       witness=(first, "constant"))
+    if all(is_strictly_negative(r) for r in lang):
+        return Verdict(CSP_P, CSP_P, PARAM_FPT, APPROX_TRIVIAL,
+                       witness=(first, "strictly-negative"))
+    for test, verdict, reason in _CASES:
+        bad = next((r for r in lang if not test(r)), None)
+        if bad is not None:
+            return Verdict(*verdict, witness=(bad.name, reason))
+    return Verdict(CSP_P, CSP_NP_HARD, PARAM_FPT, APPROX_FPT)

@@ -20,7 +20,6 @@ from .cutgraph import (
     component_labels,
     multiway_cut,
     reachable,
-    separates,
 )
 from .instances import subsets
 from .solvers import compression_guesses, hitting_set_branch
@@ -48,24 +47,13 @@ def family_nu(lists: Sequence[RequestList]) -> int:
     return max((mu1(l) + 2 * mu2(l) for l in lists), default=0)
 
 
-def list_satisfied(g: CutGraph, cut: Iterable[str], lst: RequestList) -> bool:
-    cut = set(cut)
-    for p in lst.pairs:
-        if len(p) == 1:
-            if next(iter(p)) in cut:
-                return True
-        else:
-            s, t = sorted(p)
-            if separates(g, cut, s, t):
-                return True
-    return False
-
-
 def _list_check(g: CutGraph, cut: Iterable[str]
                 ) -> Callable[[RequestList], bool]:
-    """``list_satisfied(g, cut, ·)`` for any number of lists, from one
-    component labelling of G - cut, which searches each component at most
-    once; the cut holds vertices of g only."""
+    """Whether the cut fulfills some request of a list, for any number of
+    lists: it holds a singleton, or a pair's ends get different labels in
+    one component labelling of G - cut, where a cut vertex has a label of
+    its own.  Each component is searched at most once; the cut holds
+    vertices of g only."""
     cut = set(cut)
     label = component_labels(g, cut)
 
@@ -81,6 +69,11 @@ def _list_check(g: CutGraph, cut: Iterable[str]
         return False
 
     return check
+
+
+def list_satisfied(g: CutGraph, cut: Iterable[str], lst: RequestList) -> bool:
+    """``_list_check`` for one list."""
+    return _list_check(g, cut)(lst)
 
 
 # ---------------------------------------------------------------------------

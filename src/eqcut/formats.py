@@ -69,7 +69,6 @@ def parse_relations(text: str) -> EqLanguage:
     arity = 0
     tuples: list = []
     clauses: list = []
-    start_line = 0
 
     def flush(lineno):
         nonlocal name, arity, tuples, clauses
@@ -81,10 +80,7 @@ def parse_relations(text: str) -> EqLanguage:
             rel = relation_from_cnf(
                 CnfFormula(arity, frozenset(clauses)), arity, name)
         else:
-            try:
-                rel = EqRelation.from_tuples(name, arity, tuples)
-            except ValueError as e:
-                raise ParseError(start_line, str(e))
+            rel = EqRelation.from_tuples(name, arity, tuples)
         relations.append(rel)
         name, tuples, clauses = None, [], []
 
@@ -109,7 +105,6 @@ def parse_relations(text: str) -> EqLanguage:
                 raise ParseError(lineno, f"arity {arity} exceeds cap {ARITY_CAP}")
             if any(rel.name == name for rel in relations):
                 raise ParseError(lineno, f"duplicate relation name {name!r}")
-            start_line = lineno
         elif words[0] == "tuple":
             if name is None:
                 raise ParseError(lineno, "tuple outside a relation stanza")

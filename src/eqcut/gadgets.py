@@ -49,6 +49,10 @@ def _is_eq_rel(rel: EqRelation) -> bool:
     return rel.arity == 2 and rel.tuples == EQ.tuples
 
 
+def _is_rneq_rel(rel: EqRelation) -> bool:
+    return rel.arity % 2 == 0 and rel.tuples == rneq_relation(rel.arity // 2).tuples
+
+
 def _is_neq_rel(rel: EqRelation) -> bool:
     return rel.arity == 2 and rel.tuples == NEQ.tuples
 
@@ -237,6 +241,8 @@ def rneq_to_disjunctive_multicut(inst: MinCspInstance
                                  ) -> tuple[CutGraph, list[RequestList], int]:
     """Crisp vertex per variable, soft subdivision vertex per constraint copy;
     each disjunctive constraint becomes a request list with its own singleton.
+    An Rneq constraint's pairs are read off its own scope, less those made
+    of one variable, which never differ.
 
     Returns (graph, lists, cost offset); cost(inst) = cost(graph, lists) + offset.
     """
@@ -257,13 +263,15 @@ def rneq_to_disjunctive_multicut(inst: MinCspInstance
                 raise ReductionError("crisp constraint is unsatisfiable")
             offset += nc.multiplicity
             continue
-        rel, scope = nc.relation, nc.scope
+        rel, scope = c.relation, c.scope
+        if not _is_rneq_rel(rel):
+            # any other relation is judged by its repeat-free form
+            rel, scope = nc.relation, nc.scope
         is_eq = _is_eq_rel(rel)
-        d = rel.arity // 2
-        if not is_eq and (rel.arity != 2 * d
-                          or rel.tuples != rneq_relation(d).tuples):
+        if not is_eq and not _is_rneq_rel(rel):
             raise ReductionError(
                 f"relation {rel.name} is not a disjunction of disequalities")
+        d = rel.arity // 2
         for _ in range(nc.multiplicity if nc.kind == "soft" else 1):
             zc += 1
             z = f"z:{zc}"
@@ -275,7 +283,7 @@ def rneq_to_disjunctive_multicut(inst: MinCspInstance
                 edges.append((f"x:{scope[1]}", z))
             else:
                 pairs = [(f"x:{scope[2 * i]}", f"x:{scope[2 * i + 1]}")
-                         for i in range(d)]
+                         for i in range(d) if scope[2 * i] != scope[2 * i + 1]]
                 lists.append(RequestList.of(*pairs, (z,)))
     g = CutGraph.build(vertices, edges, undeletable=undeletable)
     return g, lists, offset

@@ -134,10 +134,9 @@ class SliceFlags:
     positive_conjunctive: bool
     connected: bool
     affine: Optional[bool]        # only meaningful for c = 2
-    zero_one_valid: Optional[bool]
 
 
-def _entailed_equality_pairs(rel: SliceRelation) -> set:
+def _entailed_equality_pairs(rel) -> set:
     pairs = set()
     if not rel.tuples:
         return pairs
@@ -147,18 +146,26 @@ def _entailed_equality_pairs(rel: SliceRelation) -> set:
     return pairs
 
 
-def _positive_conjunctive(rel: SliceRelation, c: int) -> bool:
+def _equality_conjunction(rel, candidates) -> bool:
+    """The relation is nonempty and holds exactly the candidate tuples that
+    satisfy its entailed equality literals."""
     if not rel.tuples:
         return False
     pairs = _entailed_equality_pairs(rel)
-    models = frozenset(
-        t for t in itertools.product(range(1, c + 1), repeat=rel.arity)
-        if all(t[i] == t[j] for i, j in pairs)
-    )
-    return models == rel.tuples
+    return rel.tuples == frozenset(
+        t for t in candidates if all(t[i] == t[j] for i, j in pairs))
 
 
-def _connected(rel: SliceRelation) -> bool:
+def _positive_conjunctive(rel: SliceRelation, c: int) -> bool:
+    return _equality_conjunction(
+        rel, itertools.product(range(1, c + 1), repeat=rel.arity))
+
+
+def _posconj_equality(rel: EqRelation) -> bool:
+    return _equality_conjunction(rel, all_patterns(rel.arity))
+
+
+def _connected(rel) -> bool:
     pairs = _entailed_equality_pairs(rel)
     touched = sorted({i for p in pairs for i in p})
     if not touched:
@@ -182,15 +189,10 @@ def slice_properties(d: SliceLanguage) -> SliceFlags:
     posconj = all(_positive_conjunctive(r, c) for r in d)
     connected = posconj and all(_connected(r) for r in d)
     affine = None
-    zero_one = None
     if c == 2:
         affine = all(_affine(r) for r in d if r.tuples) and \
             all(bool(r.tuples) for r in d)
-        zero_one = all(
-            (1,) * r.arity in r.tuples and (2,) * r.arity in r.tuples
-            for r in d
-        )
-    return SliceFlags(trivial, posconj, connected, affine, zero_one)
+    return SliceFlags(trivial, posconj, connected, affine)
 
 
 @dataclass(frozen=True)
@@ -231,44 +233,37 @@ def classify_expansion(exp: SingletonExpansion) -> ExpansionVerdict:
         return ExpansionVerdict("P", CSP_P, "P", PARAM_FPT, APPROX_TRIVIAL,
                                 notes=("empty base language",))
 
-    horn = all(is_horn(r) for r in lang)
-    constant = all(r.is_constant() for r in lang)
-    sneg = all(is_strictly_negative(r) for r in lang)
-
-    if not horn and not constant:
-        return ExpansionVerdict("csp-NP-hard", CSP_NP_HARD, CSP_NP_HARD)
-
-    if horn and not sneg and not constant:
+    if not all(r.is_constant() for r in lang):
+        if not all(is_horn(r) for r in lang):
+            return ExpansionVerdict("csp-NP-hard", CSP_NP_HARD, CSP_NP_HARD)
+        if all(is_strictly_negative(r) for r in lang):
+            return ExpansionVerdict("strictly-negative-FPT", CSP_P,
+                                    CSP_NP_HARD, PARAM_FPT, APPROX_POLY)
         base = classify_language(lang)
         return ExpansionVerdict(
             "equivalent-to-base", base.csp, base.mincsp_classical,
             base.parameterized, base.approx, base_verdict=base,
             notes=("expansion emulated by anchor variables",))
 
-    if sneg:
-        return ExpansionVerdict("strictly-negative-FPT", CSP_P, CSP_NP_HARD,
-                                PARAM_FPT, APPROX_POLY)
-
-    # constant language
+    # constant language: the all-equal tuple falsifies every clause of
+    # disequalities, so no relation here is strictly negative
     if c == 1:
         return ExpansionVerdict("trivial", CSP_P, "P", PARAM_FPT,
                                 APPROX_TRIVIAL,
                                 notes=("one constant: all-equal assignment",))
 
     if c == INFINITE:
+        # Every pattern of a relation occurs over more constants than its
+        # arity, so the slice there is the proper relation itself: never
+        # trivial, positive conjunctive exactly when _posconj_equality holds,
+        # and connected exactly when the relation is.
         if all(_posconj_equality(r) for r in lang):
-            return _positive_conjunctive_verdict(lang, None)
-        if horn:
-            return ExpansionVerdict("HS-hard-Horn", CSP_P, CSP_NP_HARD,
-                                    PARAM_HS, APPROX_HS)
-        return ExpansionVerdict("csp-NP-hard", CSP_NP_HARD, CSP_NP_HARD)
+            return _positive_conjunctive_verdict(
+                "all constants", False, all(_connected(r) for r in lang))
+        return _hard_verdict(lang)
 
-    preserved = all(preserved_by_collapse(r, c) for r in lang)
-    if not preserved:
-        if horn:
-            return ExpansionVerdict("HS-hard-Horn", CSP_P, CSP_NP_HARD,
-                                    PARAM_HS, APPROX_HS)
-        return ExpansionVerdict("csp-NP-hard", CSP_NP_HARD, CSP_NP_HARD)
+    if not all(preserved_by_collapse(r, c) for r in lang):
+        return _hard_verdict(lang)
 
     slc = c_slice(lang, c)
     flags = slice_properties(slc)
@@ -297,7 +292,7 @@ def classify_expansion(exp: SingletonExpansion) -> ExpansionVerdict:
     # the stated implication fails exactly for languages like (x=y or x=z),
     # which are never Horn and whose expansion CSP is NP-hard
     if not flags.positive_conjunctive:
-        if not horn:
+        if not all(is_horn(r) for r in lang):
             return ExpansionVerdict(
                 "csp-NP-hard", CSP_NP_HARD, CSP_NP_HARD,
                 notes=("retraction without positive conjunctive slice: "
@@ -305,34 +300,24 @@ def classify_expansion(exp: SingletonExpansion) -> ExpansionVerdict:
         raise ClassificationGap(
             "Horn language with a retraction but a non-positive-conjunctive "
             "slice; flagging for investigation rather than guessing")
-    return _positive_conjunctive_verdict(lang, c, flags)
+    return _positive_conjunctive_verdict(f"c={c}", flags.trivial,
+                                         flags.connected)
 
 
-def _posconj_equality(rel: EqRelation) -> bool:
-    """The relation equals the models of its entailed equality literals."""
-    pairs = [
-        (i, j) for i, j in itertools.combinations(range(rel.arity), 2)
-        if all(t[i] == t[j] for t in rel.tuples)
-    ]
-    models = frozenset(
-        t for t in all_patterns(rel.arity)
-        if all(t[i] == t[j] for i, j in pairs)
-    )
-    return models == rel.tuples
+def _hard_verdict(lang: EqLanguage) -> ExpansionVerdict:
+    if all(is_horn(r) for r in lang):
+        return ExpansionVerdict("HS-hard-Horn", CSP_P, CSP_NP_HARD,
+                                PARAM_HS, APPROX_HS)
+    return ExpansionVerdict("csp-NP-hard", CSP_NP_HARD, CSP_NP_HARD)
 
 
-def _positive_conjunctive_verdict(lang: EqLanguage, c: Optional[int],
-                                  flags: Optional[SliceFlags] = None
-                                  ) -> ExpansionVerdict:
-    if flags is None:
-        cc = max((r.arity for r in lang), default=1) + 1
-        flags = slice_properties(c_slice(lang, cc))
-    where = f"c={c}" if c is not None else "all constants"
-    if flags.trivial:
+def _positive_conjunctive_verdict(where: str, trivial: bool,
+                                  connected: bool) -> ExpansionVerdict:
+    if trivial:
         return ExpansionVerdict("positive-conjunctive-family", CSP_P, "P",
                                 PARAM_FPT, APPROX_TRIVIAL,
                                 notes=(f"trivial slice ({where})",))
-    if flags.connected:
+    if connected:
         return ExpansionVerdict("positive-conjunctive-family", CSP_P,
                                 CSP_NP_HARD, PARAM_FPT, APPROX_POLY,
                                 notes=(f"connected: multiway cut ({where})",))

@@ -3,7 +3,6 @@ import pytest
 from eqcut.classify import (
     ImproperRelationError,
     classify_language,
-    relation_flags,
 )
 from eqcut.relations import (
     EQ,
@@ -22,6 +21,7 @@ from eqcut.relations import (
     EqLanguage,
     EqRelation,
     clause,
+    redundant_indices,
     relation_from_cnf,
     rneq_relation,
 )
@@ -64,8 +64,7 @@ def test_redundant_argument_rows():
     for rel in (tern_eq, tern_neq):
         v = classify_language(EqLanguage.of(rel), with_eq_neq=True)
         assert v.parameterized == "FPT"
-        flags = relation_flags(rel)
-        assert flags.redundant
+        assert redundant_indices(rel)
 
 
 def test_trivial_cases():

@@ -173,6 +173,10 @@ def test_solve_neg_fpt_accept_and_reject(tmp_path, capsys):
      "edge e a\nlist (a,b) (b,c)\nlist (c,d) (d,e)\n"),
     ("rneq-to-djmc", "r.inst",
      "soft rneq1 a b\nsoft rneq2 a b c d\ncrisp rneq1 c d\nsoft = a b\n"),
+    # the pair (x, x) never differs: the constraint is y != z
+    ("rneq-to-djmc", "r.inst", "soft rneq2 x x y z\n"),
+    ("mincsp-to-triple-mc", "t.inst",
+     "soft = a b\ncrisp != a b\nsoft neq3 a b c\n"),
 ])
 def test_reduce_verify_matches_oracle(tmp_path, capsys, name, filename, text):
     p = tmp_path / filename
@@ -247,6 +251,49 @@ def test_report_command_is_the_parsed_argv(table1_path, capsys, monkeypatch):
     argv = ["classify", "--in", table1_path, "--report", "machine"]
     code, out, _ = run_cli(argv, capsys)
     assert code == 0 and json.loads(out)["command"] == " ".join(argv)
+
+
+def test_strict_steiner_accept_reject_and_empty_graph(tmp_path, capsys):
+    p = tmp_path / "g.graph"
+    p.write_text("graph g\nedge a h\nedge h b\nlist (a,b)\n")
+    for k, code_expected, solution in (("1", 0, ["a"]), ("0", 1, None)):
+        code, out, _ = run_cli(
+            ["solve", "strict-steiner", "--in", str(p), "--hub", "h", "-k", k,
+             "--report", "machine"], capsys)
+        report = json.loads(out)
+        assert code == code_expected
+        assert report["accepted"] is (code_expected == 0)
+        assert report["solution"] == solution
+    p.write_text("graph g\n")
+    code, out, err = run_cli(["solve", "strict-steiner", "--in", str(p),
+                              "-k", "1"], capsys)
+    assert code == 2 and out == "" and err == "error: empty graph\n"
+
+
+def test_solve_djmc_requires_k(tmp_path, capsys):
+    p = tmp_path / "g.graph"
+    p.write_text("graph g\nedge a b\nlist (a,b)\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "djmc", "--in", str(p)])
+    assert exc.value.code == 2
+    assert "requires -k" in capsys.readouterr().err
+
+
+def test_random_mode_adds_wall_clock(tmp_path, capsys):
+    p = tmp_path / "g.graph"
+    p.write_text("graph g\nedge a b\nlist (a,b)\n")
+    argv = ["solve", "djmc", "--in", str(p), "-k", "1", "--report", "machine"]
+    _, det, _ = run_cli(argv, capsys)
+    _, rand, _ = run_cli(argv + ["--mode", "random"], capsys)
+    assert "wall_clock_ms" not in json.loads(det)
+    assert json.loads(rand)["wall_clock_ms"] >= 0
+
+
+def test_classify_empty_relation_is_an_error(tmp_path, capsys):
+    p = tmp_path / "empty.rel"
+    p.write_text("relation r 2\n")
+    code, out, err = run_cli(["classify", "--in", str(p)], capsys)
+    assert code == 2 and out == "" and err == "error: relation 'r' is empty\n"
 
 
 def test_strict_steiner_bad_hub_exit_code(tmp_path, capsys):

@@ -58,6 +58,40 @@ def test_parse_relations_errors_name_line():
     assert len(parse_relations("")) == 0
 
 
+@pytest.mark.parametrize("text,line,message", [
+    ("relation r 2\ncnf x1 ~ x2\n", 2, "bad literal 'x1 ~ x2'"),
+    ("relation r 2\ncnf x1 = x2 | x1 != x2\n", 2, "both polarities"),
+    ("relation r 2\ntuple 1 1\nrelation r\n", 3,
+     "expected: relation NAME ARITY"),
+    ("relation r x\n", 1, "bad arity 'x'"),
+    ("relation r 2\ntuple 1 a\n", 2, "tuple entries must be integers"),
+    ("\ncnf x1 = x2\n", 2, "cnf outside a relation stanza"),
+    ("relation r 2\ntuple 1 1\nbogus 1\n", 3, "unknown directive 'bogus'"),
+], ids=["bad-literal", "both-polarities", "relation-no-arity", "bad-arity",
+        "tuple-entry", "cnf-outside-stanza", "unknown-directive"])
+def test_parse_relations_error_names_its_line(text, line, message):
+    with pytest.raises(ParseError) as e:
+        parse_relations(text)
+    assert e.value.lineno == line and message in str(e.value)
+
+
+def test_parse_relations_canonicalizes_tuples():
+    # tuples are equality patterns: `2 1` is the pattern `1 2`
+    assert parse_relations("relation r 2\ntuple 2 1\n").get("r").tuples == \
+        {(1, 2)}
+
+
+@pytest.mark.parametrize("text,line,message", [
+    ("var a\nvar a b\n", 2, "expected: var NAME"),
+    ("var a\nsoft-assign a 1\n", 2, "expected: soft-assign x = INT"),
+    ("var a\nsoft =\n", 2, "expected: crisp|soft REL vars"),
+], ids=["var-two-names", "soft-assign", "soft-no-variables"])
+def test_parse_instance_error_names_its_line(text, line, message):
+    with pytest.raises(ParseError) as e:
+        parse_instance(text)
+    assert e.value.lineno == line and message in str(e.value)
+
+
 def test_instance_round_trip():
     inst = MinCspInstance.build("demo", [
         soft(EQ, "a", "b", m=2), crisp(NEQ, "a", "c"),

@@ -25,6 +25,7 @@ from eqcut.gadgets import (
     wheel_verify,
 )
 from eqcut.instances import (
+    Constraint,
     MinCspInstance,
     brute_force_cost,
     crisp,
@@ -38,7 +39,7 @@ from eqcut.oracles import (
     steiner_multicut_edge_opt,
     triple_multicut_opt,
 )
-from eqcut.relations import EQ, NEQ, NEQ3, rneq_relation
+from eqcut.relations import EQ, EQ3, NEQ, NEQ3, EqRelation, rneq_relation
 from eqcut.verify import (
     random_constants_instance,
     random_rneq_instance,
@@ -121,6 +122,38 @@ def test_triple_multicut_reduction_random():
             assert got == want
 
 
+def _repeated_scope_instance(rng, pool):
+    """2-4 variables; each scope is drawn with repetition, so a constraint
+    may fold to a smaller, complete or empty relation."""
+    vs = [f"x{i}" for i in range(rng.randint(2, 4))]
+    cons = []
+    for _ in range(rng.randint(1, 5)):
+        rel = rng.choice(pool)
+        kind = "crisp" if rng.random() < 0.3 else "soft"
+        cons.append(Constraint(rel, tuple(rng.choices(vs, k=rel.arity)), kind,
+                               rng.choice([1, 1, 2]) if kind == "soft" else 1))
+    return MinCspInstance.build("repeats", cons, vs)
+
+
+def test_triple_multicut_reduction_repeated_scopes():
+    split21 = EqRelation.from_tuples("split21", 3, [(1, 1, 2)])
+    rng = random.Random(2)
+    notes = set()
+    for _ in range(300):
+        inst = _repeated_scope_instance(rng, [EQ, NEQ, NEQ3, EQ3, split21])
+        k = rng.randint(0, 3)
+        red = mincsp_to_triple_multicut(inst, k)
+        notes.update(n.split(" costs")[0] for n in red.notes)
+        if red.infeasible:
+            got = False
+        else:
+            opt = triple_multicut_opt(red.graph, red.triples)
+            got = opt is not None and opt <= red.budget
+        assert got == (brute_force_cost(inst).cost <= k)
+    assert notes == {"crisp constraint unsatisfiable", "offset exceeds budget",
+                     "always-violated soft constraint"}
+
+
 def test_hitting_set_odd3():
     inst, _, notes = hitting_set_to_odd3([1, 2], [[1, 2]], 1)
     assert brute_force_cost(inst).cost == 1
@@ -181,6 +214,30 @@ def test_rneq_reduction_random():
         a = brute_force_cost(inst).cost
         c = djmc_cost(g, lists)
         assert a == ((c + off) if c is not None else float("inf"))
+
+
+def test_rneq_reduction_repeated_scopes():
+    # soft rneq2 x x y z is y != z: the pair (x, x) never differs
+    inst = MinCspInstance.build("i", [
+        soft(rneq_relation(2), "x", "x", "y", "z"), crisp(EQ, "y", "z")])
+    g, lists, off = rneq_to_disjunctive_multicut(inst)
+    assert off == 0 and len(lists) == 1 and len(lists[0]) == 2
+    assert djmc_cost(g, lists) == 1 == brute_force_cost(inst).cost
+    rng = random.Random(1)
+    unsat = 0
+    for _ in range(300):
+        inst = _repeated_scope_instance(
+            rng, [EQ, rneq_relation(1), rneq_relation(2)])
+        want = brute_force_cost(inst).cost
+        try:
+            g, lists, off = rneq_to_disjunctive_multicut(inst)
+        except ReductionError as e:
+            assert "unsatisfiable" in str(e) and want == float("inf")
+            unsat += 1
+            continue
+        c = djmc_cost(g, lists)
+        assert want == ((c + off) if c is not None else float("inf"))
+    assert 0 < unsat < 300
 
 
 def test_spc_reductions_tiny():

@@ -59,7 +59,6 @@ def test_collapse_vs_retraction_oracle_arity_3():
 def test_slice_properties():
     f = slice_properties(c_slice(EqLanguage.of(EQ), 2))
     assert f.positive_conjunctive and f.connected and f.affine
-    assert f.zero_one_valid
     f = slice_properties(c_slice(EqLanguage.of(EVEN_BLOCKS), 2))
     assert f.affine and not f.positive_conjunctive
     f = slice_properties(c_slice(EqLanguage.of(R_AND_EQ_EQ), 3))
