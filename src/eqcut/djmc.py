@@ -21,7 +21,7 @@ from .cutgraph import (
     multiway_cut,
     reachable,
 )
-from .instances import subsets
+from .relations import subsets
 from .solvers import compression_guesses, hitting_set_branch
 
 

@@ -21,7 +21,6 @@ from .instances import (
     normalize_constraint,
     soft,
     soft_assign,
-    subsets,
 )
 from .relations import (
     EQ,
@@ -37,6 +36,7 @@ from .relations import (
     is_neq3,
     rneq_relation,
     split_witness,
+    subsets,
     union_classes,
 )
 

@@ -14,7 +14,8 @@ import os
 from dataclasses import dataclass, replace
 from typing import Container, Iterable, Iterator, Optional, Sequence
 
-from .relations import EqRelation, all_patterns, canonicalize
+from .relations import EqRelation, all_patterns, canonicalize, set_partitions
+from .relations import subsets  # re-exported
 
 INF = math.inf
 
@@ -194,34 +195,6 @@ def assignment_cost(inst: MinCspInstance, assignment: Assignment) -> CostReport:
             violated.append(c)
             cost += c.multiplicity
     return CostReport(cost, tuple(violated))
-
-
-def set_partitions(items: Sequence) -> Iterator[list[list]]:
-    """Every partition of the items into blocks, Bell(n) in all.
-
-    Each block lists its items last-to-first.  The yielded lists are reused:
-    read a partition before advancing the generator.
-    """
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in set_partitions(rest):
-        for block in part:
-            block.append(first)
-            yield part
-            block.pop()
-        part.append([first])
-        yield part
-        part.pop()
-
-
-def subsets(items: Sequence, max_size: Optional[int] = None) -> Iterator[tuple]:
-    """Every subset of the items with at most max_size members (all of them
-    by default), by size and then in itertools.combinations order."""
-    top = len(items) if max_size is None else min(max_size, len(items))
-    for size in range(top + 1):
-        yield from itertools.combinations(items, size)
 
 
 def fresh_names(prefix: str, taken: Iterable[str], start: int = 0

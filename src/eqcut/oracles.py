@@ -17,7 +17,7 @@ from .cutgraph import (  # triple_multicut_feasible is re-exported
     separates,
     triple_multicut_feasible,
 )
-from .instances import subsets
+from .relations import subsets
 
 
 def _deletable_vertices(g: CutGraph) -> list[str]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 ARITY_CAP = 8
 
@@ -50,22 +50,21 @@ def is_canonical(t: Sequence[int]) -> bool:
 
 @lru_cache(maxsize=None)
 def all_patterns(arity: int) -> tuple[tuple[int, ...], ...]:
-    """All canonical tuples of the given length (Bell-number many)."""
+    """All canonical tuples of the given length (Bell-number many), in
+    lexicographic order: `set_partitions` placing positions 0, 1, ...,
+    each block numbered by when it opened."""
     if arity < 1:
         raise ValueError("arity must be positive")
     if arity > ARITY_CAP:
         raise ArityCapExceeded(f"arity {arity} exceeds cap {ARITY_CAP}")
-
-    def rec(prefix: list[int], hi: int) -> Iterator[tuple[int, ...]]:
-        if len(prefix) == arity:
-            yield tuple(prefix)
-            return
-        for v in range(1, hi + 2):
-            prefix.append(v)
-            yield from rec(prefix, max(hi, v))
-            prefix.pop()
-
-    return tuple(rec([1], 1)) if arity > 1 else ((1,),)
+    out = []
+    for part in set_partitions(range(arity - 1, -1, -1)):
+        t = [0] * arity
+        for label, block in enumerate(part, start=1):
+            for pos in block:
+                t[pos] = label
+        out.append(tuple(t))
+    return tuple(out)
 
 
 def refines(a: Sequence[int], b: Sequence[int]) -> str:
@@ -99,6 +98,43 @@ def union_classes(items: Iterable, pairs: Iterable[tuple]) -> dict:
     for a, b in pairs:
         parent[root(a)] = root(b)
     return {x: root(x) for x in parent}
+
+
+def set_partitions(items: Sequence,
+                   keep: Optional[Callable[[list[list]], bool]] = None
+                   ) -> Iterator[list[list]]:
+    """Every partition of the items into blocks, Bell(n) in all.
+
+    Items are placed last-to-first, each into the open blocks in order and
+    then into a new block; each block lists its items in that order.  With
+    `keep`, a partial partition is extended (or yielded, once complete) only
+    if keep(blocks) holds, so a test that fails on every extension of a
+    failing prefix yields exactly the full walk's passing partitions, in its
+    order.  The yielded lists are reused: read a partition before advancing
+    the generator.
+    """
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in set_partitions(rest, keep):
+        for block in part:
+            block.append(first)
+            if keep is None or keep(part):
+                yield part
+            block.pop()
+        part.append([first])
+        if keep is None or keep(part):
+            yield part
+        part.pop()
+
+
+def subsets(items: Sequence, max_size: Optional[int] = None) -> Iterator[tuple]:
+    """Every subset of the items with at most max_size members (all of them
+    by default), by size and then in itertools.combinations order."""
+    top = len(items) if max_size is None else min(max_size, len(items))
+    for size in range(top + 1):
+        yield from itertools.combinations(items, size)
 
 
 # ---------------------------------------------------------------------------

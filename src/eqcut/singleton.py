@@ -27,9 +27,9 @@ from .relations import (
     canonicalize,
     is_horn,
     is_strictly_negative,
+    subsets,
     union_classes,
 )
-from .instances import subsets
 
 INFINITE = "inf"
 

@@ -19,14 +19,8 @@ from .cutgraph import (
     min_vertex_separator,
     multiway_cut,
 )
-from .instances import (
-    Constraint,
-    MinCspInstance,
-    fresh_names,
-    set_partitions,
-    subsets,
-)
-from .relations import canonicalize, is_strictly_negative
+from .instances import Constraint, MinCspInstance, fresh_names
+from .relations import canonicalize, is_strictly_negative, set_partitions, subsets
 
 
 def hitting_set_branch(sets: Sequence[Iterable], k: int) -> Optional[frozenset]:
@@ -202,14 +196,14 @@ def steiner_2approx(g: CutGraph, t_sets: Sequence[Iterable[str]], k: int
     space small.  No cut satisfies a set of fewer than two terminals.
 
     The answer at budget b is the first smallest cut among the guesses with
-    |W| <= b that succeed at budget b - |W|.  Each guess is evaluated once,
-    at the full budget k - |W|, when the budgets reach |W|, and every
-    budget's answer is read off those results: `multiway_cut` and
+    |W| <= b that succeed at budget b - |W|.  `multiway_cut` and
     `strict_steiner` return the same set at a budget b as at any B >= b
-    when the budget-B answer has size <= b, and None at b otherwise.  A
-    guess's multiway cut M and its strict-Steiner cuts (of total size
-    spent) each get b - |W|, so it succeeds at b exactly when
-    |W| + max(|M|, spent) <= b.
+    when the budget-B answer has size <= b, and None at b otherwise.  So a
+    guess evaluated once at k - |W|, with multiway cut M and strict-Steiner
+    cuts of total size spent, succeeds at b exactly when its
+    need = |W| + max(|M|, spent) <= b, and the answer is the first smallest
+    cut of the least need.  Guesses come by |W|, and need >= |W|, so the
+    walk stops at the first with |W| above the least need so far.
     """
     t_sets = _terminal_sets(g, t_sets)
     if k < 0 or any(len(ts) < 2 for ts in t_sets):
@@ -220,27 +214,25 @@ def steiner_2approx(g: CutGraph, t_sets: Sequence[Iterable[str]], k: int
     if initial is None:
         return None
 
-    guesses = compression_guesses(g, initial, k)
-    guess = next(guesses, None)
-    found: list[tuple[int, frozenset]] = []  # (least budget, cut) per guess
-    for b in range(k + 1):
-        while guess is not None and len(guess[0]) == b:
-            w, contractions = guess
-            check = _tset_check(g, w)
-            live_sets = [ts for ts in t_sets if not check(ts)]
-            for g2, hubs, renaming in contractions:
-                out = _steiner_guess(g2, live_sets, hubs, renaming, k - b)
-                if out is not None:
-                    m_size, spent, cut = out
-                    found.append((b + max(m_size, spent), w | cut))
-            guess = next(guesses, None)
-        fits = [cut for need, cut in found if need <= b]
-        if fits:
-            best = min(fits, key=len)  # the first smallest, in guess order
-            assert _steiner_feasible(g, best, t_sets)
-            assert len(best) <= 2 * b
-            return best
-    return None
+    best: Optional[tuple[int, frozenset]] = None  # (least need, its cut)
+    for w, contractions in compression_guesses(g, initial, k):
+        if best is not None and len(w) > best[0]:
+            break
+        check = _tset_check(g, w)
+        live_sets = [ts for ts in t_sets if not check(ts)]
+        for g2, hubs, renaming in contractions:
+            out = _steiner_guess(g2, live_sets, hubs, renaming, k - len(w))
+            if out is not None:
+                m_size, spent, cut = out
+                need, cut = len(w) + max(m_size, spent), w | cut
+                if best is None or (need, len(cut)) < (best[0], len(best[1])):
+                    best = need, cut
+    if best is None:
+        return None
+    need, cut = best
+    assert _steiner_feasible(g, cut, t_sets)
+    assert len(cut) <= 2 * need
+    return cut
 
 
 def _hub_names(g: CutGraph, count: int) -> list[str]:

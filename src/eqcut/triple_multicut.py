@@ -24,8 +24,7 @@ from .cutgraph import (
     multiway_cut,
     triple_multicut_feasible,
 )
-from .instances import subsets
-from .relations import union_classes
+from .relations import set_partitions, subsets, union_classes
 
 
 # Boolean literals are (var, bool); clauses are 1- or 2-tuples of literals.
@@ -330,21 +329,23 @@ def _quotient_classes(g: CutGraph, xs: Sequence[str]) -> list[list[str]]:
 def _alpha_partitions(g: CutGraph, classes: list[list[str]],
                       protected: Sequence[frozenset],
                       budget: int) -> Iterable[dict]:
-    """Assignments of the quotient classes into intended components, grown
-    incrementally under the component and triple-distinctness constraints,
-    and under a flow bound: once two or more groups are placed, each must be
-    cut from the others by at most `budget` vertices outside the classes.
-    Each alpha lists its vertices by component, then class by class, each
-    class in guess order.  A class is connected in g, so its first vertex
-    gives its component.
+    """Assignments of the quotient classes into intended components: the
+    `set_partitions` walk that places classes 0, 1, ... and extends a
+    partial partition only while each group's newest class shares its
+    first class's component and no surviving triple with the group's other
+    classes, and, once two or more groups are placed, each group can be cut
+    from the others by at most `budget` vertices outside the classes.  Each
+    alpha lists its vertices by component, then class by class, each class
+    in guess order.  A class is connected in g, so its first vertex gives
+    its component.
 
     The bound is a necessary condition of the leaf's multiway cut, so it
-    drops only alphas that have no cut within the budget, and the alphas
-    that survive are the unbounded stream's, in its order.  A multiway cut
+    drops only alphas that have no cut within the budget.  A multiway cut
     of a complete alpha avoids the classes and cuts each placed group from
     the other placed groups, and placing more classes only enlarges both
     sides of every check: a prefix that fails the bound fails it in every
-    completion.
+    completion, and the alphas that survive are the unbounded stream's, in
+    its order.
     """
     label = component_labels(g, ())
     class_comp = [label(cls[0]) for cls in classes]
@@ -358,8 +359,12 @@ def _alpha_partitions(g: CutGraph, classes: list[list[str]],
             conflict.add(frozenset({a, b}))
     gu = g.make_undeletable(class_of)  # every class vertex
 
-    def separable(groups: list[list[int]]) -> bool:
-        """Whether each placed group can be cut from the others."""
+    def keep(groups: list[list[int]]) -> bool:
+        for grp in groups:
+            new = grp[-1]
+            if class_comp[new] != class_comp[grp[0]] or any(
+                    frozenset({new, other}) in conflict for other in grp[:-1]):
+                return False
         if len(groups) < 2:
             return True
         sides = [[v for ci in grp for v in classes[ci]] for grp in groups]
@@ -369,28 +374,9 @@ def _alpha_partitions(g: CutGraph, classes: list[list[str]],
                 return False
         return True
 
-    n = len(classes)
-
-    def rec(i: int, groups: list[list[int]]):
-        if i == n:
-            yield {v: gi for gi, grp in enumerate(groups, start=1)
-                   for ci in grp for v in classes[ci]}
-            return
-        for gi, grp in enumerate(groups):
-            if class_comp[grp[0]] != class_comp[i]:
-                continue
-            if any(frozenset({i, other}) in conflict for other in grp):
-                continue
-            grp.append(i)
-            if separable(groups):
-                yield from rec(i + 1, groups)
-            grp.pop()
-        groups.append([i])
-        if separable(groups):
-            yield from rec(i + 1, groups)
-        groups.pop()
-
-    yield from rec(0, [])
+    for groups in set_partitions(range(len(classes) - 1, -1, -1), keep):
+        yield {v: gi for gi, grp in enumerate(groups, start=1)
+               for ci in grp for v in classes[ci]}
 
 
 @dataclass

@@ -24,6 +24,7 @@ from eqcut.relations import (
     definable_in_fragment,
     entailed_clauses,
     essential_projection,
+    is_canonical,
     is_conjunctive,
     is_horn,
     is_negative,
@@ -35,6 +36,7 @@ from eqcut.relations import (
     refines,
     relation_from_cnf,
     rneq_relation,
+    set_partitions,
     split_witness,
 )
 
@@ -58,6 +60,54 @@ def test_bell_counts():
         assert len(all_patterns(arity)) == bell
     with pytest.raises(ArityCapExceeded):
         all_patterns(9)
+
+
+def test_all_patterns_are_the_lexicographic_restricted_growth_strings():
+    expected = [(1,)]
+    for arity in range(1, 9):
+        assert all_patterns(arity) == tuple(expected)
+        assert expected == sorted(expected) and all(map(is_canonical, expected))
+        expected = [t + (v,) for t in expected for v in range(1, max(t) + 2)]
+
+
+def test_set_partitions_prefix_test_keeps_the_full_walks_survivors():
+    """A test that fails on every extension of a failing prefix prunes the
+    walk to exactly the full walk's passing partitions, in its order."""
+    rng = random.Random(26)
+    for _ in range(300):
+        items = rng.sample(range(30), rng.randint(0, 8))
+        forbidden = [frozenset(rng.sample(items, 2))
+                     for _ in range(rng.randint(0, 4) if len(items) > 1 else 0)]
+        m = rng.randint(1, 4)
+
+        def apart(blocks):
+            return not any(pair <= set(block)
+                           for block in blocks for pair in forbidden)
+
+        def few(blocks):
+            return len(blocks) <= m
+
+        def both(blocks):
+            return apart(blocks) and few(blocks)
+
+        for keep in (apart, few, both):
+            full = [[list(b) for b in part] for part in set_partitions(items)
+                    if keep(part)]
+            pruned = [[list(b) for b in part]
+                      for part in set_partitions(items, keep)]
+            assert pruned == full, (items, forbidden, m)
+
+
+def test_set_partitions_never_extends_a_failing_prefix():
+    calls = []
+
+    def reject(blocks):
+        calls.append([list(b) for b in blocks])
+        return False
+
+    assert list(set_partitions("abcd", reject)) == []
+    assert calls == [[["d"]]]
+    assert list(set_partitions("", reject)) == [[]]
 
 
 def test_refines_examples():
