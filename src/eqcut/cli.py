@@ -13,7 +13,6 @@ import random
 import sys
 import time
 from functools import lru_cache
-from pathlib import Path
 
 from . import formats
 from .classify import ImproperRelationError, classify_language
@@ -45,9 +44,19 @@ def _report(args, payload: dict, started: float) -> dict:
     return rep
 
 
+# json.dumps(rep, sort_keys=True) builds this encoder on every call
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
+def _read(path: str) -> str:
+    """The text of an input file, decoded as `Path.read_text` decodes it."""
+    with open(path) as f:
+        return f.read()
+
+
 def _emit(args, rep: dict):
     if getattr(args, "report", "text") == "machine":
-        print(json.dumps(rep, sort_keys=True))
+        print(_ENCODER.encode(rep))
     else:
         for key, val in rep.items():
             if key == "command":
@@ -57,7 +66,7 @@ def _emit(args, rep: dict):
 
 def cmd_classify(args) -> int:
     started = time.time()
-    text = Path(args.infile).read_text()
+    text = _read(args.infile)
     lang = formats.parse_relations(text)
     payload = {"input_digest": _digest(text), "relations": lang.names()}
     from .singleton import ClassificationGap
@@ -79,7 +88,7 @@ def cmd_classify(args) -> int:
 
 def cmd_solve(args) -> int:
     started = time.time()
-    text = Path(args.infile).read_text()
+    text = _read(args.infile)
     payload: dict = {"input_digest": _digest(text), "solver": args.solver}
     k = args.k
 
@@ -163,7 +172,7 @@ def _default_language() -> EqLanguage:
 
 def cmd_reduce(args) -> int:
     started = time.time()
-    text = Path(args.infile).read_text()
+    text = _read(args.infile)
     payload: dict = {"input_digest": _digest(text), "reduction": args.name}
     out_text = ""
 
@@ -258,7 +267,8 @@ def cmd_reduce(args) -> int:
         return EXIT_ERROR
 
     if args.outfile:
-        Path(args.outfile).write_text(out_text)
+        with open(args.outfile, "w") as f:
+            f.write(out_text)
     else:
         sys.stdout.write(out_text)
     _emit(args, _report(args, payload, started))
@@ -342,14 +352,21 @@ def _trials(text: str) -> int:
     return _count(text, 1, "a positive integer")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The `eqcut` parser, and each subcommand's parser by name."""
     parser = argparse.ArgumentParser(
         prog="eqcut",
         description="equality-language MinCSP classification, reductions, "
                     "and parameterized cut solvers")
     sub = parser.add_subparsers(dest="command", required=True)
+    commands: dict = {}
 
-    p = sub.add_parser("classify", help="classify a relation file")
+    def command(name: str, func, help: str) -> argparse.ArgumentParser:
+        commands[name] = p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("classify", cmd_classify, "classify a relation file")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--constants", type=_constants, default=None,
                    help="classify the singleton expansion: a count or 'inf'")
@@ -357,9 +374,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="add binary = and != to the language first")
     p.add_argument("--report", choices=["text", "machine"], default="text")
     p.add_argument("--mode", choices=["det", "random"], default="det")
-    p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("solve", help="run a solver on an instance or graph")
+    p = command("solve", cmd_solve, "run a solver on an instance or graph")
     p.add_argument("solver", choices=["djmc", "steiner2x", "strict-steiner",
                                       "triple-mc", "oracle", "neg-fpt"])
     p.add_argument("--in", dest="infile", required=True)
@@ -367,9 +383,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hub", default=None, help="hub vertex for strict-steiner")
     p.add_argument("--mode", choices=["det", "random"], default="det")
     p.add_argument("--report", choices=["text", "machine"], default="text")
-    p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("reduce", help="run a reduction, optionally verified")
+    p = command("reduce", cmd_reduce, "run a reduction, optionally verified")
     p.add_argument("name", choices=["multicut-to-mincsp", "steiner-to-nae3",
                                     "mincsp-to-triple-mc", "rneq-to-djmc",
                                     "emulate-constants", "hs-to-odd3",
@@ -380,27 +395,44 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify", action="store_true")
     p.add_argument("--mode", choices=["det", "random"], default="det")
     p.add_argument("--report", choices=["text", "machine"], default="text")
-    p.set_defaults(func=cmd_reduce)
 
-    p = sub.add_parser("verify-lemmas",
-                       help="oracle checks behind the gadget and solver lemmas")
+    p = command("verify-lemmas", cmd_verify_lemmas,
+                "oracle checks behind the gadget and solver lemmas")
     p.add_argument("--trials", type=_trials, default=15)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=["det", "random"], default="det")
     p.add_argument("--report", choices=["text", "machine"], default="text")
-    p.set_defaults(func=cmd_verify_lemmas)
-    return parser
+    return parser, commands
 
 
-# Built once per process: parse_args reads the parser and never changes it,
-# so repeated main() calls share it.
-_PARSER = _build_parser()
+# Built once per process: parse_args reads the parsers and never changes
+# them, so repeated main() calls share them.
+_PARSER, _COMMANDS = _build_parser()
+
+
+def _parse(argv) -> argparse.Namespace:
+    """`_PARSER.parse_args(argv)`, through the subcommand's own parser.
+
+    `_PARSER` hands everything after a subcommand name to that
+    subcommand's parser, whose errors and help are its own, and then
+    rejects any arguments it left over; so the subparser alone gives the
+    same namespace.  `_PARSER` still parses an argv that names no
+    subcommand first (help, usage errors) or leaves arguments over, so
+    that its own messages report them.
+    """
+    sub = _COMMANDS.get(argv[0]) if argv else None
+    if sub is not None:
+        args, rest = sub.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return _PARSER.parse_args(argv)
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _PARSER.parse_args(argv)
+    args = _parse(argv)
     args.argv = argv
     try:
         return args.func(args)

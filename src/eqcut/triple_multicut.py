@@ -301,29 +301,56 @@ def decode_boolean_solution(removed: frozenset) -> tuple[frozenset, frozenset]:
 # Full solver.
 
 
+def _guess_ties(g: CutGraph, xs: Sequence[str]) -> list[tuple]:
+    """The pairs `_quotient_classes` merges, as (x, key): each guessed x
+    with itself, or with its component's label if x is undeletable; with
+    each guessed neighbour; and with the label of each component of g minus
+    its deletable vertices that it neighbours.
+
+    Deleting deletable vertices changes no such component, so the ties of g
+    minus a set W of guessed deletable vertices are the ties of g that
+    avoid W (neither end in W).
+    """
+    guessed = set(xs)
+    label = component_labels(g, (v for v in g.vertices if g.deletable(v)))
+    idx = g._index
+    return [(x, u if g.deletable(u) else label(u)) for x in xs
+            for u in (x, *(idx.names[j] for j in idx.nbrs[idx.pos[x]]))
+            if u in guessed or not g.deletable(u)]
+
+
 def _quotient_classes(g: CutGraph, xs: Sequence[str]) -> list[list[str]]:
     """Merge guessed vertices that every surviving alpha puts together:
     pairs that are adjacent, or that both touch (contain or neighbour) one
     component of g minus its deletable vertices.  No vertex outside the
     guess cuts such a pair apart.
 
-    One labelling of those undeletable components and one union-find pass
-    give the classes, listed by first vertex, each in guess order.
+    One union-find pass over `_guess_ties` gives the classes, listed by
+    first vertex, each in guess order.
     """
     xs = list(dict.fromkeys(xs))
-    guessed = set(xs)
-    label = component_labels(g, (v for v in g.vertices if g.deletable(v)))
-    idx = g._index
-    # x joins the labels of itself and its guessed or undeletable
-    # neighbours; all of an undeletable component share one label
-    ties = [(x, label(u)) for x in xs
-            for u in (x, *(idx.names[j] for j in idx.nbrs[idx.pos[x]]))
-            if u in guessed or not g.deletable(u)]
+    ties = _guess_ties(g, xs)
     root = union_classes(xs + [key for _x, key in ties], ties)
     classes: dict = {}
     for v in xs:
         classes.setdefault(root[v], []).append(v)
     return list(classes.values())
+
+
+def _splits_every_triple(ties: list[tuple], protected: Sequence[frozenset],
+                         gone: set) -> bool:
+    """Whether `_quotient_classes(g.without(gone), kept)` keeps the kept
+    vertices of every surviving triple apart, for `ties = _guess_ties(g,
+    x_all)` and gone a set of deletable vertices of x_all: its classes are
+    those of the ties that avoid gone.  When it does not, `_alpha_partitions`
+    returns at its first check."""
+    live = [(x, key) for x, key in ties if x not in gone and key not in gone]
+    root = union_classes(itertools.chain.from_iterable(live), live)
+    for tri in protected:
+        kept = [root[v] for v in tri if v not in gone]
+        if len(kept) != len(set(kept)):
+            return False
+    return True
 
 
 def _alpha_partitions(g: CutGraph, classes: list[list[str]],
@@ -400,9 +427,12 @@ def triple_multicut(g: CutGraph, triples: TripleSet, k: int
     vertices it deletes, and the component partition (alpha) of the rest,
     over the quotient classes of one labelling per vertex guess; prefixes
     that no cut within the remaining budget b splits are dropped (see
-    `_alpha_partitions`).  An alpha's Boolean encoding is solvable at weight
-    b exactly when `multiway_cut` cuts its groups apart in g1 (g minus the
-    guessed deletions) by b vertices outside the guess:
+    `_alpha_partitions`).  A vertex guess whose classes merge two kept
+    vertices of a surviving triple has no alpha; the ties of g, listed once
+    per triple guess, find those guesses before g minus the guess is built
+    (`_splits_every_triple`).  An alpha's Boolean encoding is solvable at
+    weight b exactly when `multiway_cut` cuts its groups apart in g1 (g
+    minus the guessed deletions) by b vertices outside the guess:
     1. Kept u, w pinned to groups a != b and joined by a kept path give
        hat(u, a) -> (next, a) -> hat(next, a) -> ... -> (w, a) against the
        pins, by edge and coherence clauses: the deletions separate them.
@@ -435,7 +465,10 @@ def triple_multicut(g: CutGraph, triples: TripleSet, k: int
         protected = [t for t, _m in triples if t not in w_t]
         x_all = list(dict.fromkeys(v for t in protected for v in sorted(t)))
         x_verts = [v for v in x_all if g.deletable(v)]
+        ties = _guess_ties(g, x_all)
         for w_v in subsets(x_verts, k - spent_t):
+            if not _splits_every_triple(ties, protected, set(w_v)):
+                continue
             b = k - spent_t - len(w_v)  # the budget left for the cut
             g1 = g.without(w_v)
             classes = _quotient_classes(g1, [v for v in x_all if v not in w_v])
