@@ -161,27 +161,33 @@ def hitting_set_to_odd3(elements: Sequence, sets: Sequence[Iterable], k: int
     """Soft x_i = z per element; per set, a crisp ODD3 chain closed by a
     disequality, satisfiable exactly when the set's variables are not all equal.
     Singleton sets are padded with a fresh dummy element."""
+    def gadget(sno: int, names: list[str]) -> list[Constraint]:
+        chain, last = _odd3_chain(names, f"s{sno}.")
+        return [*chain, crisp(NEQ, names[0], last)]
+
+    return _hitting_set_instance("hs_odd3", elements, sets, k,
+                                 lambda x: soft(EQ, x, "z"), gadget)
+
+
+def _hitting_set_instance(name: str, elements: Sequence,
+                          sets: Sequence[Iterable], k: int, unit, gadget
+                          ) -> tuple[MinCspInstance, int, tuple]:
+    """The soft `unit(x<a>)` per element a, then per set its `gadget(sno,
+    member variables)`.  A singleton set is padded with a fresh dummy
+    element, whose unit constraint comes just before the set's gadget."""
     notes = []
-    constraints: list[Constraint] = [
-        soft(EQ, f"x{a}", "z") for a in elements
-    ]
+    constraints: list[Constraint] = [unit(f"x{a}") for a in elements]
     pads = fresh_names("pad", map(str, elements), 1)
     known = set(elements)
     for sno, raw in enumerate(sets):
         members = _set_members(raw, known)
         if len(members) == 1:
             d = next(pads)
-            constraints.append(soft(EQ, f"x{d}", "z"))
+            constraints.append(unit(f"x{d}"))
             members.append(d)
             notes.append(f"set {sno} padded with dummy element {d}")
-        names = [f"x{a}" for a in members]
-        ln = len(names)
-        ys = [f"s{sno}.y{i}" for i in range(2, ln + 1)]
-        constraints.append(crisp(ODD3, names[0], names[1], ys[0]))
-        for i in range(3, ln + 1):
-            constraints.append(crisp(ODD3, ys[i - 3], names[i - 1], ys[i - 2]))
-        constraints.append(crisp(NEQ, names[0], ys[-1]))
-    inst = MinCspInstance.build("hs_odd3", constraints, notes=tuple(notes))
+        constraints.extend(gadget(sno, [f"x{a}" for a in members]))
+    inst = MinCspInstance.build(name, constraints, notes=tuple(notes))
     return inst, k, tuple(notes)
 
 
@@ -441,40 +447,41 @@ class SplitPairedCutInstance:
 
 
 def strip_flow_paths(g: CutGraph, s: str, t: str, k: int) -> list[list[str]]:
-    """Partition the edge set into k edge-disjoint s-t paths, or fail.
+    """Partition the edge set into k edge-disjoint simple s-t paths, or fail.
 
-    This is the normalization the hardness proofs assume; instances whose
-    maxflow is not exactly k (or with leftover edges) are rejected.
+    This is the normalization the hardness proofs assume.  The search
+    backtracks over each path's choice, walking the simple s-t paths on the
+    unused edges depth-first (the last-named neighbour first).  A walk
+    yields first the path of a depth-first search that skips visited
+    vertices, as that search prunes only branches that reach no s-t path.
     """
-    remaining = {tuple(sorted(e)) for e in g.edges}
     if any(m != 1 for m in g.edges.values()):
         raise ReductionError("flow decomposition expects simple edges")
-    paths = []
-    for _ in range(k):
-        # DFS for an s-t path on remaining edges
-        stack = [(s, [s])]
-        seen_path = None
-        visited = set()
+
+    def st_paths(edges: frozenset):
+        stack = [[s]]
         while stack:
-            x, path = stack.pop()
+            path = stack.pop()
+            x = path[-1]
             if x == t:
-                seen_path = path
-                break
-            if x in visited:
+                yield path
                 continue
-            visited.add(x)
-            for e in sorted(remaining):
-                if x in e:
-                    y = e[0] if e[1] == x else e[1]
-                    if tuple(sorted((x, y))) in remaining and y not in path:
-                        stack.append((y, path + [y]))
-        if seen_path is None:
-            raise ReductionError("graph does not decompose into k flow paths")
-        for a, b in zip(seen_path, seen_path[1:]):
-            remaining.discard(tuple(sorted((a, b))))
-        paths.append(seen_path)
-    if remaining:
-        raise ReductionError("leftover edges after stripping k paths")
+            nbrs = sorted(y for e in edges if x in e for y in e if y != x)
+            stack.extend(path + [y] for y in nbrs if y not in path)
+
+    def strip(edges: frozenset, left: int) -> Optional[list[list[str]]]:
+        if left == 0:
+            return None if edges else []
+        for path in st_paths(edges):
+            rest = strip(edges - {frozenset(e) for e in zip(path, path[1:])},
+                         left - 1)
+            if rest is not None:
+                return [path, *rest]
+        return None
+
+    paths = strip(frozenset(g.edges), k)
+    if paths is None:
+        raise ReductionError(f"edges do not split into {k} s-t paths")
     return paths
 
 
@@ -624,13 +631,21 @@ def odd3_nary_gadget(n: int, targets: Optional[Sequence[str]] = None,
     if n == 1:
         cons.append(crisp(ODD3, z1, z2, targets[0]))
     else:
-        ys = [f"{tag}y{i}" for i in range(2, n + 1)]
-        cons.append(crisp(ODD3, targets[0], targets[1], ys[0]))
-        for i in range(2, n):
-            cons.append(crisp(ODD3, ys[i - 2], targets[i], ys[i - 1]))
-        cons.append(crisp(ODD3, z1, z2, ys[-1]))
+        chain, last = _odd3_chain(targets, tag)
+        cons += [*chain, crisp(ODD3, z1, z2, last)]
     return MinCspInstance.build(f"odd3_nary_{n}", cons,
                                 primaries=tuple(targets))
+
+
+def _odd3_chain(targets: Sequence[str], tag: str
+                ) -> tuple[list[Constraint], str]:
+    """Crisp ODD3(t1, t2, y2), ODD3(y2, t3, y3), ... over two or more
+    targets, each y<i> named <tag>y<i>, and the last y."""
+    ys = [f"{tag}y{i}" for i in range(2, len(targets) + 1)]
+    cons = [crisp(ODD3, targets[0], targets[1], ys[0])]
+    for i in range(2, len(targets)):
+        cons.append(crisp(ODD3, ys[i - 2], targets[i], ys[i - 1]))
+    return cons, ys[-1]
 
 
 def hitting_set_to_odd3_constants(elements: Sequence, sets: Sequence[Iterable],
@@ -638,24 +653,13 @@ def hitting_set_to_odd3_constants(elements: Sequence, sets: Sequence[Iterable],
     """Soft (x = 1) per element plus one crisp chain gadget per set; the two
     constant anchors are shared between the gadgets, and their assignments
     come with the first gadget."""
-    notes = []
-    constraints: list[Constraint] = [soft_assign(f"x{a}", 1) for a in elements]
-    anchors = ("z.one", "z.two")
-    pads = fresh_names("pad", map(str, elements), 1)
-    known = set(elements)
-    for sno, raw in enumerate(sets):
-        members = _set_members(raw, known)
-        if len(members) == 1:
-            d = next(pads)
-            constraints.append(soft_assign(f"x{d}", 1))
-            members.append(d)
-            notes.append(f"set {sno} padded with dummy element {d}")
-        gadget = odd3_nary_gadget(len(members), [f"x{a}" for a in members],
-                                  tag=f"s{sno}.", anchors=anchors)
-        constraints.extend(c for c in gadget.constraints
-                           if sno == 0 or not c.is_assignment())
-    inst = MinCspInstance.build("hs_odd3_const", constraints, notes=tuple(notes))
-    return inst, k, tuple(notes)
+    def gadget(sno: int, names: list[str]) -> list[Constraint]:
+        cons = odd3_nary_gadget(len(names), names, tag=f"s{sno}.",
+                                anchors=("z.one", "z.two")).constraints
+        return [c for c in cons if sno == 0 or not c.is_assignment()]
+
+    return _hitting_set_instance("hs_odd3_const", elements, sets, k,
+                                 lambda x: soft_assign(x, 1), gadget)
 
 
 # ---------------------------------------------------------------------------

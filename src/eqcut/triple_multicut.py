@@ -302,69 +302,72 @@ def decode_boolean_solution(removed: frozenset) -> tuple[frozenset, frozenset]:
 
 
 def _guess_ties(g: CutGraph, xs: Sequence[str]) -> list[tuple]:
-    """The pairs `_quotient_classes` merges, as (x, key): each guessed x
-    with itself, or with its component's label if x is undeletable; with
-    each guessed neighbour; and with the label of each component of g minus
-    its deletable vertices that it neighbours.
+    """The pairs `_quotient_classes` merges, each listed once, as (x, key):
+    each guessed x with each guessed neighbour listed before it, and with
+    the label of each component of g minus its deletable vertices that x
+    contains or neighbours.
 
     Deleting deletable vertices changes no such component, so the ties of g
     minus a set W of guessed deletable vertices are the ties of g that
     avoid W (neither end in W).
     """
-    guessed = set(xs)
     label = component_labels(g, (v for v in g.vertices if g.deletable(v)))
     idx = g._index
-    return [(x, u if g.deletable(u) else label(u)) for x in xs
-            for u in (x, *(idx.names[j] for j in idx.nbrs[idx.pos[x]]))
-            if u in guessed or not g.deletable(u)]
+    before: set = set()
+    ties: dict = {}
+    for x in xs:
+        for u in (x, *(idx.names[j] for j in idx.nbrs[idx.pos[x]])):
+            if not g.deletable(u):
+                ties[x, label(u)] = None
+            elif u in before:
+                ties[x, u] = None
+        before.add(x)
+    return list(ties)
 
 
-def _quotient_classes(g: CutGraph, xs: Sequence[str]) -> list[list[str]]:
+def _quotient_classes(ties: list[tuple], xs: Sequence[str]) -> list[list[str]]:
     """Merge guessed vertices that every surviving alpha puts together:
     pairs that are adjacent, or that both touch (contain or neighbour) one
     component of g minus its deletable vertices.  No vertex outside the
     guess cuts such a pair apart.
 
-    One union-find pass over `_guess_ties` gives the classes, listed by
-    first vertex, each in guess order.
+    One union-find pass over the guess's ties (`_guess_ties`, every x of
+    which is in xs) gives the classes, listed by first vertex, each in
+    guess order.
     """
-    xs = list(dict.fromkeys(xs))
-    ties = _guess_ties(g, xs)
-    root = union_classes(xs + [key for _x, key in ties], ties)
+    root = union_classes(itertools.chain(xs, *ties), ties)
     classes: dict = {}
     for v in xs:
         classes.setdefault(root[v], []).append(v)
     return list(classes.values())
 
 
-def _splits_every_triple(ties: list[tuple], protected: Sequence[frozenset],
-                         gone: set) -> bool:
-    """Whether `_quotient_classes(g.without(gone), kept)` keeps the kept
-    vertices of every surviving triple apart, for `ties = _guess_ties(g,
-    x_all)` and gone a set of deletable vertices of x_all: its classes are
-    those of the ties that avoid gone.  When it does not, `_alpha_partitions`
-    returns at its first check."""
-    live = [(x, key) for x, key in ties if x not in gone and key not in gone]
-    root = union_classes(itertools.chain.from_iterable(live), live)
+def _class_conflicts(classes: list[list[str]],
+                     protected: Sequence[frozenset]) -> Optional[set]:
+    """The pairs of classes, as frozensets of class indices, that hold two
+    vertices of one surviving triple; None when one class holds two, as
+    then no alpha keeps that triple apart."""
+    class_of = {v: ci for ci, cls in enumerate(classes) for v in cls}
+    conflict: set = set()
     for tri in protected:
-        kept = [root[v] for v in tri if v not in gone]
-        if len(kept) != len(set(kept)):
-            return False
-    return True
+        members = [class_of[v] for v in tri if v in class_of]
+        if len(members) != len(set(members)):
+            return None
+        conflict.update(map(frozenset, itertools.combinations(members, 2)))
+    return conflict
 
 
-def _alpha_partitions(g: CutGraph, classes: list[list[str]],
-                      protected: Sequence[frozenset],
+def _alpha_partitions(g: CutGraph, classes: list[list[str]], conflict: set,
                       budget: int) -> Iterable[dict]:
     """Assignments of the quotient classes into intended components: the
     `set_partitions` walk that places classes 0, 1, ... and extends a
     partial partition only while each group's newest class shares its
-    first class's component and no surviving triple with the group's other
-    classes, and, once two or more groups are placed, each group can be cut
-    from the others by at most `budget` vertices outside the classes.  Each
-    alpha lists its vertices by component, then class by class, each class
-    in guess order.  A class is connected in g, so its first vertex gives
-    its component.
+    first class's component and no `conflict` pair (`_class_conflicts`)
+    with the group's other classes, and, once two or more groups are
+    placed, each group can be cut from the others by at most `budget`
+    vertices outside the classes.  Each alpha lists its vertices by
+    component, then class by class, each class in guess order.  A class is
+    connected in g, so its first vertex gives its component.
 
     The bound is a necessary condition of the leaf's multiway cut, so it
     drops only alphas that have no cut within the budget.  A multiway cut
@@ -376,15 +379,7 @@ def _alpha_partitions(g: CutGraph, classes: list[list[str]],
     """
     label = component_labels(g, ())
     class_comp = [label(cls[0]) for cls in classes]
-    class_of = {v: ci for ci, cls in enumerate(classes) for v in cls}
-    conflict: set = set()
-    for tri in protected:
-        members = [class_of[v] for v in tri if v in class_of]
-        if len(members) != len(set(members)):
-            return  # two vertices of a surviving triple are inseparable
-        for a, b in itertools.combinations(members, 2):
-            conflict.add(frozenset({a, b}))
-    gu = g.make_undeletable(class_of)  # every class vertex
+    gu = g.make_undeletable(itertools.chain.from_iterable(classes))
 
     def keep(groups: list[list[int]]) -> bool:
         for grp in groups:
@@ -427,12 +422,13 @@ def triple_multicut(g: CutGraph, triples: TripleSet, k: int
     vertices it deletes, and the component partition (alpha) of the rest,
     over the quotient classes of one labelling per vertex guess; prefixes
     that no cut within the remaining budget b splits are dropped (see
-    `_alpha_partitions`).  A vertex guess whose classes merge two kept
-    vertices of a surviving triple has no alpha; the ties of g, listed once
-    per triple guess, find those guesses before g minus the guess is built
-    (`_splits_every_triple`).  An alpha's Boolean encoding is solvable at
-    weight b exactly when `multiway_cut` cuts its groups apart in g1 (g
-    minus the guessed deletions) by b vertices outside the guess:
+    `_alpha_partitions`).  The ties of g are listed once per triple guess;
+    a vertex guess's classes are those of its ties that avoid the guess
+    (`_guess_ties`), and a guess whose classes merge two kept vertices of a
+    surviving triple has no alpha, so g minus it is never built.  An alpha's
+    Boolean encoding is solvable at weight b exactly when `multiway_cut`
+    cuts its groups apart in g1 (g minus the guessed deletions) by b
+    vertices outside the guess:
     1. Kept u, w pinned to groups a != b and joined by a kept path give
        hat(u, a) -> (next, a) -> hat(next, a) -> ... -> (w, a) against the
        pins, by edge and coherence clauses: the deletions separate them.
@@ -467,12 +463,17 @@ def triple_multicut(g: CutGraph, triples: TripleSet, k: int
         x_verts = [v for v in x_all if g.deletable(v)]
         ties = _guess_ties(g, x_all)
         for w_v in subsets(x_verts, k - spent_t):
-            if not _splits_every_triple(ties, protected, set(w_v)):
+            gone = set(w_v)
+            classes = _quotient_classes(
+                [(x, key) for x, key in ties
+                 if x not in gone and key not in gone],
+                [v for v in x_all if v not in gone])
+            conflict = _class_conflicts(classes, protected)
+            if conflict is None:
                 continue
             b = k - spent_t - len(w_v)  # the budget left for the cut
             g1 = g.without(w_v)
-            classes = _quotient_classes(g1, [v for v in x_all if v not in w_v])
-            for alpha in _alpha_partitions(g1, classes, protected, b):
+            for alpha in _alpha_partitions(g1, classes, conflict, b):
                 groups = [[v for v, gi in alpha.items() if gi == i]
                           for i in sorted(set(alpha.values()))]
                 cut = multiway_cut(g1, groups, b)

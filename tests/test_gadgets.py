@@ -311,6 +311,70 @@ def test_strip_flow_paths():
             CutGraph.build("st", [("s", "t")]), "s", "t", "s", "t", [], 0)
 
 
+def assert_splits(g, paths, k):
+    """The paths are k simple s-t paths that use every edge of g once."""
+    assert len(paths) == k
+    assert all(p[0] == "s" and p[-1] == "t" and len(set(p)) == len(p)
+               for p in paths)
+    used = [frozenset(e) for p in paths for e in zip(p, p[1:])]
+    assert sorted(used, key=sorted) == sorted(g.edges, key=sorted)
+
+
+def st_path_split_exists(g, k):
+    """Reference: some k simple s-t paths use every edge once (an exact
+    cover of the edges by the edge sets of all simple s-t paths)."""
+    inner = [v for v in g.vertices if v not in ("s", "t")]
+    paths = []
+    for r in range(len(inner) + 1):
+        for mid in itertools.permutations(inner, r):
+            walk = ("s", *mid, "t")
+            edges = frozenset(map(frozenset, zip(walk, walk[1:])))
+            if edges <= g.edges.keys():
+                paths.append(edges)
+
+    def cover(left, j):
+        if j == 0 or not left:
+            return j == 0 and not left
+        e = min(left, key=sorted)
+        return any(cover(left - p, j - 1) for p in paths
+                   if e in p and p <= left)
+
+    return cover(frozenset(g.edges), k)
+
+
+def test_strip_flow_paths_backtracks_over_the_path_choice():
+    # taking the first path a depth-first search finds, each time (s-b-t,
+    # then s-a-t; or s-t, s-c-t, then s-a-t), leaves the triangle a-b-c
+    cases = [
+        (["s", "a", "b", "c", "t"], [("s", "a"), ("s", "b"), ("a", "t"),
+                                     ("b", "t"), ("a", "b"), ("a", "c"),
+                                     ("b", "c")], 2),
+        (["s", "a", "b", "c", "t"], [("s", "t"), ("s", "a"), ("s", "c"),
+                                     ("t", "a"), ("t", "c"), ("a", "b"),
+                                     ("a", "c"), ("b", "c")], 3),
+    ]
+    for vs, edges, k in cases:
+        g = CutGraph.build(vs, edges)
+        assert_splits(g, strip_flow_paths(g, "s", "t", k), k)
+
+
+def test_strip_flow_paths_matches_exhaustive_search():
+    rng = random.Random(1)
+    split = 0
+    for _ in range(2_000):
+        vs = ["s", "t", *"abcd"[:rng.randint(2, 4)]]
+        g = CutGraph.build(vs, [e for e in itertools.combinations(vs, 2)
+                                if rng.random() < 0.5])
+        for k in (1, 2, 3):
+            if st_path_split_exists(g, k):
+                split += 1
+                assert_splits(g, strip_flow_paths(g, "s", "t", k), k)
+            else:
+                with pytest.raises(ReductionError):
+                    strip_flow_paths(g, "s", "t", k)
+    assert split > 100
+
+
 def test_mis_reduction():
     g = CutGraph.build(["a", "b"], [])
     inst, k = mis_to_disjneqneq(g, [["a"], ["b"]], 2)

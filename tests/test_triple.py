@@ -10,6 +10,7 @@ from eqcut.triple_multicut import (
     CrispUnsatisfiable,
     SoftGroup,
     _alpha_partitions,
+    _guess_ties,
     _quotient_classes,
     boolean_solve,
     build_boolean_instance,
@@ -105,22 +106,25 @@ def test_boolean_solve():
 
 def test_quotient_classes_merge_adjacent_guessed_vertices():
     g = CutGraph.build("abcd", [("a", "b"), ("b", "c")])
-    classes = _quotient_classes(g, ["a", "d", "b"])
+    xs = ["a", "d", "b"]
+    classes = _quotient_classes(_guess_ties(g, xs), xs)
     assert classes == [["a", "b"], ["d"]]
     # c joins a through the undeletable u, b joins a by an edge: one class,
     # and its alpha lists the vertices in guess order
     g2 = CutGraph.build("abcu", [("a", "u"), ("u", "c"), ("a", "b")],
                         undeletable={"c", "u"})
-    classes = _quotient_classes(g2, ["a", "b", "c"])
+    xs = ["a", "b", "c"]
+    classes = _quotient_classes(_guess_ties(g2, xs), xs)
     assert classes == [["a", "b", "c"]]
-    (alpha,) = _alpha_partitions(g2, classes, [], 0)
+    (alpha,) = _alpha_partitions(g2, classes, set(), 0)
     assert list(alpha.items()) == [("a", 1), ("b", 1), ("c", 1)]
 
 
 def test_quotient_classes_merge_through_undeletable_vertices():
     # a and c are deletable and joined only through the undeletable u
     g = CutGraph.build("acdu", [("a", "u"), ("u", "c")], undeletable={"u"})
-    classes = _quotient_classes(g, ["a", "c", "d"])
+    xs = ["a", "c", "d"]
+    classes = _quotient_classes(_guess_ties(g, xs), xs)
     assert classes == [["a", "c"], ["d"]]
 
 

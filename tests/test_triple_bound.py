@@ -21,6 +21,8 @@ from eqcut.cutgraph import CutGraph, TripleSet, component_labels
 from eqcut.instances import subsets
 from eqcut.triple_multicut import (
     _alpha_partitions,
+    _class_conflicts,
+    _guess_ties,
     _quotient_classes,
     boolean_solve,
     build_boolean_instance,
@@ -65,8 +67,8 @@ def ref_alpha_partitions(g, classes, protected):
 
 
 def guesses(g, triples, k):
-    """(g1, live, protected, classes, budget) for every triple and vertex
-    deletion guess `triple_multicut` makes, in its order."""
+    """(g1, live, protected, classes, conflict, budget) for every triple
+    and vertex deletion guess `triple_multicut` makes, in its order."""
     tri_mult = dict(triples)
     for w_t in subsets(sorted(tri_mult, key=sorted), k):
         spent_t = sum(tri_mult[t] for t in w_t)
@@ -77,8 +79,11 @@ def guesses(g, triples, k):
         x_all = list(dict.fromkeys(v for t in protected for v in sorted(t)))
         for w_v in subsets([v for v in x_all if g.deletable(v)], k - spent_t):
             g1 = g.without(w_v)
-            classes = _quotient_classes(g1, [v for v in x_all if v not in w_v])
-            yield g1, live, protected, classes, k - spent_t - len(w_v)
+            kept = [v for v in x_all if v not in w_v]
+            classes = _quotient_classes(_guess_ties(g1, kept), kept)
+            yield (g1, live, protected, classes,
+                   _class_conflicts(classes, protected),
+                   k - spent_t - len(w_v))
 
 
 def boolean_answer(g1, live, alpha, budget, protected):
@@ -113,9 +118,10 @@ def instances():
 def test_bound_drops_only_unsolvable_alphas_and_keeps_the_order():
     kept = dropped = 0
     for g, ts, k in instances():
-        for g1, live, protected, classes, budget in guesses(g, ts, k):
-            bounded = [list(a.items()) for a in
-                       _alpha_partitions(g1, classes, protected, budget)]
+        for g1, live, protected, classes, conflict, budget in guesses(g, ts, k):
+            bounded = [] if conflict is None else [
+                list(a.items())
+                for a in _alpha_partitions(g1, classes, conflict, budget)]
             pos = 0
             for alpha in ref_alpha_partitions(g1, classes, protected):
                 if pos < len(bounded) and bounded[pos] == list(alpha.items()):
@@ -132,7 +138,7 @@ def test_bound_drops_only_unsolvable_alphas_and_keeps_the_order():
 def test_multiway_cut_answers_the_boolean_encoding():
     solved = failed = 0
     for g, ts, k in instances():
-        for g1, live, protected, classes, budget in guesses(g, ts, k):
+        for g1, live, protected, classes, _conflict, budget in guesses(g, ts, k):
             for alpha in ref_alpha_partitions(g1, classes, protected):
                 groups = [[v for v, gi in alpha.items() if gi == i]
                           for i in sorted(set(alpha.values()))]
