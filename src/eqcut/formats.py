@@ -46,6 +46,7 @@ def _split_multiplicity(words: list[str], lineno: int) -> tuple[list[str], int]:
 
 
 _LITERAL = re.compile(r"^x(\d+)\s*(!?=)\s*x(\d+)$")
+_ASSIGN = re.compile(r"^(crisp|soft)-assign\s+(\S+)\s*=\s*(\d+)(?:\s*\*(\d+))?$")
 
 
 def _parse_clause(text: str, lineno: int):
@@ -84,7 +85,8 @@ def parse_relations(text: str) -> EqLanguage:
         relations.append(rel)
         name, tuples, clauses = None, [], []
 
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    lines = text.splitlines()
+    for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             flush(lineno)
@@ -126,7 +128,7 @@ def parse_relations(text: str) -> EqLanguage:
             clauses.append(cl)
         else:
             raise ParseError(lineno, f"unknown directive {words[0]!r}")
-    flush(len(text.splitlines()) + 1)
+    flush(len(lines) + 1)
     return EqLanguage(tuple(relations))
 
 
@@ -171,8 +173,7 @@ def parse_instance(text: str, language: Optional[EqLanguage] = None
                 raise ParseError(lineno, "expected: var NAME")
             variables.append(words[1])
         elif head in ("crisp-assign", "soft-assign"):
-            m = re.match(r"^(crisp|soft)-assign\s+(\S+)\s*=\s*(\d+)(?:\s*\*(\d+))?$",
-                         line)
+            m = _ASSIGN.match(line)
             if not m:
                 raise ParseError(lineno, "expected: soft-assign x = INT [*m]")
             kind, var, val, mult = m.group(1), m.group(2), int(m.group(3)), m.group(4)

@@ -14,7 +14,8 @@ import os
 from dataclasses import dataclass, replace
 from typing import Container, Iterable, Iterator, Optional, Sequence
 
-from .relations import EqRelation, all_patterns, canonicalize, set_partitions
+from .relations import (EqRelation, all_patterns, canonicalize, set_partitions,
+                        union_classes)
 from .relations import subsets  # re-exported
 
 INF = math.inf
@@ -32,6 +33,15 @@ def oracle_cap() -> int:
 
 class OracleCapExceeded(ValueError):
     pass
+
+
+def _check_cap(inst: "MinCspInstance", cap: Optional[int]) -> int:
+    """The cap (EQCUT_ORACLE_CAP when None), once inst's variables fit it."""
+    cap = cap if cap is not None else oracle_cap()
+    if len(inst.variables) > cap:
+        raise OracleCapExceeded(
+            f"{len(inst.variables)} variables exceeds oracle cap {cap}")
+    return cap
 
 
 @dataclass(frozen=True)
@@ -262,10 +272,7 @@ def oracle_optimum(inst: MinCspInstance, cap: Optional[int] = None
     partition that can violate no assignment constraint costs the relation
     cost, below the best at the partition's start and below its siblings.
     """
-    cap = cap if cap is not None else oracle_cap()
-    if len(inst.variables) > cap:
-        raise OracleCapExceeded(
-            f"{len(inst.variables)} variables exceeds oracle cap {cap}")
+    _check_cap(inst, cap)
     relations = [c for c in inst.constraints if not c.is_assignment()]
     assigns = [c for c in inst.constraints if c.is_assignment()]
     best_cost, best = INF, (CostReport(INF), None)
@@ -292,8 +299,47 @@ def oracle_optimum(inst: MinCspInstance, cap: Optional[int] = None
     return best
 
 
+def _parts(inst: MinCspInstance) -> list[MinCspInstance]:
+    """The connected parts of inst's constraint hypergraph, whose edges are
+    the relation scopes (an assignment constraint joins only its variable),
+    in order of their first variable; each keeps inst's order of variables
+    and of constraints.  Variables in no constraint belong to no part."""
+    roots = union_classes(inst.variables, ((c.scope[0], v)
+                                           for c in inst.constraints
+                                           for v in c.scope[1:]))
+    used = {v for c in inst.constraints for v in c.scope}
+    parts: dict = {}  # root -> (variables, constraints)
+    for v in inst.variables:
+        if v in used:
+            parts.setdefault(roots[v], ([], []))[0].append(v)
+    for c in inst.constraints:
+        parts[roots[c.scope[0]]][1].append(c)
+    return [MinCspInstance(inst.name, tuple(vs), tuple(cs))
+            for vs, cs in parts.values()]
+
+
 def brute_force_cost(inst: MinCspInstance, cap: Optional[int] = None) -> CostReport:
-    return oracle_optimum(inst, cap)[0]
+    """The minimum cost of inst, as the sum of oracle_optimum's costs over its
+    connected parts (`_parts`), or CostReport(INF) at the first infeasible
+    part; the report lists the parts' violated constraints in part order.
+
+    The sum is exact because the domain is infinite.  Every constraint reads
+    the variables of one part only, so an assignment costs the sum of its
+    restrictions' costs, at least the sum of the parts' optima.  The parts'
+    optimal assignments also combine into one of that cost: different parts
+    take disjoint fresh values, parts that assign the same constant may share
+    it, and a variable that no constraint mentions takes a fresh value and
+    costs nothing.  The cap still counts every declared variable.
+    """
+    cap = _check_cap(inst, cap)
+    cost, violated = 0, []
+    for part in _parts(inst):
+        report = oracle_optimum(part, cap)[0]
+        if report.cost == INF:
+            return report
+        cost += report.cost
+        violated.extend(report.violated)
+    return CostReport(cost, tuple(violated))
 
 
 # ---------------------------------------------------------------------------

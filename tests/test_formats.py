@@ -67,8 +67,14 @@ def test_parse_relations_errors_name_line():
     ("relation r 2\ntuple 1 a\n", 2, "tuple entries must be integers"),
     ("\ncnf x1 = x2\n", 2, "cnf outside a relation stanza"),
     ("relation r 2\ntuple 1 1\nbogus 1\n", 3, "unknown directive 'bogus'"),
+    # the last stanza is checked after the last line
+    ("relation r 2\ntuple 1 1\ncnf x1 = x2\n", 4,
+     "stanza 'r' mixes tuples and cnf"),
+    ("relation r 2\ntuple 1 1\ncnf x1 = x2", 4,
+     "stanza 'r' mixes tuples and cnf"),
 ], ids=["bad-literal", "both-polarities", "relation-no-arity", "bad-arity",
-        "tuple-entry", "cnf-outside-stanza", "unknown-directive"])
+        "tuple-entry", "cnf-outside-stanza", "unknown-directive",
+        "mixed-last-stanza", "mixed-last-stanza-no-final-newline"])
 def test_parse_relations_error_names_its_line(text, line, message):
     with pytest.raises(ParseError) as e:
         parse_relations(text)
