@@ -68,6 +68,14 @@ _CASES = (
 )
 
 
+def require_proper(lang: EqLanguage) -> None:
+    """Reject the first empty or complete relation of the language."""
+    for rel in lang:
+        if not rel.is_proper():
+            raise ImproperRelationError(
+                f"relation {rel.name!r} is {'empty' if rel.is_empty() else 'complete'}")
+
+
 def classify_language(lang: EqLanguage, with_eq_neq: bool = False) -> Verdict:
     """The paper's case split, each test run only when its case is reached.
 
@@ -76,12 +84,9 @@ def classify_language(lang: EqLanguage, with_eq_neq: bool = False) -> Verdict:
     """
     if with_eq_neq:
         lang = lang.with_eq_neq()
+    require_proper(lang)
     if len(lang) == 0:
         return Verdict(CSP_P, CSP_P, PARAM_FPT, APPROX_TRIVIAL)
-    for rel in lang:
-        if not rel.is_proper():
-            raise ImproperRelationError(
-                f"relation {rel.name!r} is {'empty' if rel.is_empty() else 'complete'}")
     first = next(iter(lang)).name
     if all(r.is_constant() for r in lang):
         return Verdict(CSP_P, CSP_P, PARAM_FPT, APPROX_TRIVIAL,

@@ -18,7 +18,7 @@ from . import formats
 from .classify import ImproperRelationError, classify_language
 from .instances import brute_force_cost
 from .relations import EqLanguage
-from .singleton import SingletonExpansion, classify_expansion
+from .singleton import ClassificationGap, SingletonExpansion, classify_expansion
 
 try:  # the interpreter's own sha256: hashlib would load OpenSSL (_hashlib)
     from _sha2 import sha256  # Python 3.12+
@@ -69,19 +69,16 @@ def cmd_classify(args) -> int:
     text = _read(args.infile)
     lang = formats.parse_relations(text)
     payload = {"input_digest": _digest(text), "relations": lang.names()}
-    from .singleton import ClassificationGap
-
     try:
         if args.constants is None:
             verdict = classify_language(lang, with_eq_neq=args.with_eq_neq)
-            payload["verdict"] = verdict.as_dict()
         else:
             verdict = classify_expansion(
                 SingletonExpansion(lang, args.constants))
-            payload["verdict"] = verdict.as_dict()
     except (ImproperRelationError, ClassificationGap) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
+    payload["verdict"] = verdict.as_dict()
     _emit(args, _report(args, payload, started))
     return EXIT_ACCEPT
 

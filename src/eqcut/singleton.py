@@ -4,6 +4,7 @@ assignment constraints for finitely many or all constants."""
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -16,9 +17,9 @@ from .classify import (
     PARAM_FPT,
     PARAM_HS,
     PARAM_W1,
-    ImproperRelationError,
     Verdict,
     classify_language,
+    require_proper,
 )
 from .relations import (
     EqLanguage,
@@ -45,39 +46,6 @@ class SingletonExpansion:
         if self.constants != INFINITE and (
                 not isinstance(self.constants, int) or self.constants < 1):
             raise ValueError("constants must be a positive integer or 'inf'")
-
-
-@dataclass(frozen=True)
-class SliceRelation:
-    name: str
-    arity: int
-    tuples: frozenset  # explicit tuples over [c]
-
-    def is_trivial(self, c: int) -> bool:
-        return not self.tuples or len(self.tuples) == c ** self.arity
-
-
-@dataclass(frozen=True)
-class SliceLanguage:
-    c: int
-    relations: tuple[SliceRelation, ...]
-
-    def __iter__(self):
-        return iter(self.relations)
-
-
-def c_slice(lang: EqLanguage, c: int) -> SliceLanguage:
-    """Materialize each relation's tuples over the finite domain [c]."""
-    if c < 1:
-        raise ValueError("c must be at least 1")
-    rels = []
-    for rel in lang:
-        tuples = frozenset(
-            t for t in itertools.product(range(1, c + 1), repeat=rel.arity)
-            if canonicalize(t) in rel.tuples
-        )
-        rels.append(SliceRelation(rel.name, rel.arity, tuples))
-    return SliceLanguage(c, tuple(rels))
 
 
 def preserved_by_collapse(rel: EqRelation, c: int) -> bool:
@@ -136,46 +104,21 @@ class SliceFlags:
     affine: Optional[bool]        # only meaningful for c = 2
 
 
-def _entailed_equality_pairs(rel) -> set:
-    pairs = set()
-    if not rel.tuples:
-        return pairs
-    for i, j in itertools.combinations(range(rel.arity), 2):
-        if all(t[i] == t[j] for t in rel.tuples):
-            pairs.add((i, j))
-    return pairs
+def _entailed_equality_pairs(arity: int, tuples) -> set:
+    """The index pairs equal in every tuple."""
+    return {(i, j) for i, j in itertools.combinations(range(arity), 2)
+            if all(t[i] == t[j] for t in tuples)}
 
 
-def _equality_conjunction(rel, candidates) -> bool:
-    """The relation is nonempty and holds exactly the candidate tuples that
-    satisfy its entailed equality literals."""
-    if not rel.tuples:
-        return False
-    pairs = _entailed_equality_pairs(rel)
-    return rel.tuples == frozenset(
-        t for t in candidates if all(t[i] == t[j] for i, j in pairs))
-
-
-def _positive_conjunctive(rel: SliceRelation, c: int) -> bool:
-    return _equality_conjunction(
-        rel, itertools.product(range(1, c + 1), repeat=rel.arity))
-
-
-def _posconj_equality(rel: EqRelation) -> bool:
-    return _equality_conjunction(rel, all_patterns(rel.arity))
-
-
-def _connected(rel) -> bool:
-    pairs = _entailed_equality_pairs(rel)
+def _connected(pairs) -> bool:
     touched = sorted({i for p in pairs for i in p})
     if not touched:
         return True
     return len(set(union_classes(touched, pairs).values())) == 1
 
 
-def _affine(rel: SliceRelation) -> bool:
-    """Closure under coordinatewise XOR of three tuples (domain renamed 0/1)."""
-    tuples = {tuple(x - 1 for x in t) for t in rel.tuples}
+def _affine(tuples) -> bool:
+    """Closure under coordinatewise XOR of three 0/1 tuples."""
     for a, b, cc in itertools.product(tuples, repeat=3):
         out = tuple(x ^ y ^ z for x, y, z in zip(a, b, cc))
         if out not in tuples:
@@ -183,16 +126,39 @@ def _affine(rel: SliceRelation) -> bool:
     return True
 
 
-def slice_properties(d: SliceLanguage) -> SliceFlags:
-    c = d.c
-    trivial = all(r.is_trivial(c) for r in d)
-    posconj = all(_positive_conjunctive(r, c) for r in d)
-    connected = posconj and all(_connected(r) for r in d)
-    affine = None
-    if c == 2:
-        affine = all(_affine(r) for r in d if r.tuples) and \
-            all(bool(r.tuples) for r in d)
-    return SliceFlags(trivial, posconj, connected, affine)
+def slice_properties(lang: EqLanguage, c: Union[int, str]) -> SliceFlags:
+    """Flags of the language's slice over c constants (a count, or "inf"),
+    read off each relation's canonical patterns with at most c blocks.
+
+    Those patterns are the canonical forms of the slice's tuples, and every
+    labelling of one by distinct constants is a slice tuple.  Being empty or
+    full and the entailed equality pairs, and so being positive conjunctive
+    (the tuples are exactly those satisfying the entailed equalities) and
+    connected, are unchanged by relabelling: each holds of the slice exactly
+    when it holds of those patterns.  At c = 2 the slice over {0, 1} is each
+    pattern labelled from 0 and its complement.  It is closed under XOR of
+    three tuples exactly when its tuples that start with 0, the patterns
+    labelled from 0, are: complementing any of the three tuples at most
+    complements their XOR.
+    """
+    if c != INFINITE and c < 1:
+        raise ValueError("c must be at least 1")
+    top = math.inf if c == INFINITE else c
+    trivial = posconj = connected = True
+    affine = True if c == 2 else None
+    for rel in lang:
+        domain = [p for p in all_patterns(rel.arity) if max(p) <= top]
+        pats = [p for p in domain if p in rel.tuples]
+        pairs = _entailed_equality_pairs(rel.arity, pats)
+        trivial = trivial and len(pats) in (0, len(domain))
+        posconj = posconj and bool(pats) and all(
+            p in rel.tuples for p in domain
+            if all(p[i] == p[j] for i, j in pairs))
+        connected = connected and _connected(pairs)
+        if c == 2:
+            affine = affine and bool(pats) and _affine(
+                {tuple(x - 1 for x in p) for p in pats})
+    return SliceFlags(trivial, posconj, posconj and connected, affine)
 
 
 @dataclass(frozen=True)
@@ -225,9 +191,7 @@ def classify_expansion(exp: SingletonExpansion) -> ExpansionVerdict:
     """Full verdict tree for a language with assignment constraints added."""
     lang = exp.base
     c = exp.constants
-    for rel in lang:
-        if not rel.is_proper():
-            raise ImproperRelationError(f"relation {rel.name!r} is not proper")
+    require_proper(lang)
 
     if len(lang) == 0:
         return ExpansionVerdict("P", CSP_P, "P", PARAM_FPT, APPROX_TRIVIAL,
@@ -252,21 +216,11 @@ def classify_expansion(exp: SingletonExpansion) -> ExpansionVerdict:
                                 APPROX_TRIVIAL,
                                 notes=("one constant: all-equal assignment",))
 
-    if c == INFINITE:
-        # Every pattern of a relation occurs over more constants than its
-        # arity, so the slice there is the proper relation itself: never
-        # trivial, positive conjunctive exactly when _posconj_equality holds,
-        # and connected exactly when the relation is.
-        if all(_posconj_equality(r) for r in lang):
-            return _positive_conjunctive_verdict(
-                "all constants", False, all(_connected(r) for r in lang))
+    # with all constants the verdict turns on the slice alone
+    if c != INFINITE and not all(preserved_by_collapse(r, c) for r in lang):
         return _hard_verdict(lang)
 
-    if not all(preserved_by_collapse(r, c) for r in lang):
-        return _hard_verdict(lang)
-
-    slc = c_slice(lang, c)
-    flags = slice_properties(slc)
+    flags = slice_properties(lang, c)
 
     if c == 2:
         if flags.trivial:
@@ -290,8 +244,11 @@ def classify_expansion(exp: SingletonExpansion) -> ExpansionVerdict:
 
     # c >= 3 with a retraction: positive conjunctive per the classification;
     # the stated implication fails exactly for languages like (x=y or x=z),
-    # which are never Horn and whose expansion CSP is NP-hard
+    # which are never Horn and whose expansion CSP is NP-hard.  With all
+    # constants a slice that is not positive conjunctive is simply hard.
     if not flags.positive_conjunctive:
+        if c == INFINITE:
+            return _hard_verdict(lang)
         if not all(is_horn(r) for r in lang):
             return ExpansionVerdict(
                 "csp-NP-hard", CSP_NP_HARD, CSP_NP_HARD,
@@ -300,8 +257,8 @@ def classify_expansion(exp: SingletonExpansion) -> ExpansionVerdict:
         raise ClassificationGap(
             "Horn language with a retraction but a non-positive-conjunctive "
             "slice; flagging for investigation rather than guessing")
-    return _positive_conjunctive_verdict(f"c={c}", flags.trivial,
-                                         flags.connected)
+    where = "all constants" if c == INFINITE else f"c={c}"
+    return _positive_conjunctive_verdict(where, flags.trivial, flags.connected)
 
 
 def _hard_verdict(lang: EqLanguage) -> ExpansionVerdict:

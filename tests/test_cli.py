@@ -292,8 +292,11 @@ def test_random_mode_adds_wall_clock(tmp_path, capsys):
 def test_classify_empty_relation_is_an_error(tmp_path, capsys):
     p = tmp_path / "empty.rel"
     p.write_text("relation r 2\n")
-    code, out, err = run_cli(["classify", "--in", str(p)], capsys)
-    assert code == 2 and out == "" and err == "error: relation 'r' is empty\n"
+    for constants in ([], ["--constants", "2"], ["--constants", "inf"]):
+        code, out, err = run_cli(
+            ["classify", "--in", str(p), *constants], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: relation 'r' is empty\n"
 
 
 def test_strict_steiner_bad_hub_exit_code(tmp_path, capsys):
@@ -385,6 +388,25 @@ def test_cli_entrypoint_subprocess(tmp_path):
             capture_output=True, text=True, env=_subprocess_env())
         assert proc.returncode == 0
         assert "verdict" in proc.stdout
+
+
+def test_classify_with_many_constants_is_fast(tmp_path):
+    # the slice flags come from the relations' patterns, not from the
+    # c^arity tuples over c constants
+    p = tmp_path / "horn.rel"
+    p.write_text("relation eq3 3\ntuple 1 1 1\n"
+                 "relation eq12 3\ntuple 1 1 1\ntuple 1 1 2\n")
+    verdicts = {}
+    for c in ("7", "1000000000"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "eqcut", "classify", "--in", str(p),
+             "--constants", c, "--report", "machine"],
+            capture_output=True, text=True, env=_subprocess_env(), timeout=10)
+        assert proc.returncode == 0, proc.stderr
+        verdicts[c] = json.loads(proc.stdout)["verdict"]
+    small, big = verdicts["7"], verdicts["1000000000"]
+    assert small["notes"] == ["connected: multiway cut (c=7)"]
+    assert big == {**small, "notes": ["connected: multiway cut (c=1000000000)"]}
 
 
 def test_repeated_in_process_calls_match_fresh_processes(tmp_path, capsys):

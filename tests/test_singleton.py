@@ -18,8 +18,6 @@ from eqcut.relations import (
 )
 from eqcut.singleton import (
     SingletonExpansion,
-    SliceRelation,
-    c_slice,
     classify_expansion,
     preserved_by_collapse,
     retraction_oracle,
@@ -28,15 +26,6 @@ from eqcut.singleton import (
 
 EVEN_BLOCKS = EqRelation.from_tuples(
     "even_blocks", 4, [(1, 1, 1, 1), (1, 1, 2, 2), (1, 2, 1, 2), (1, 2, 2, 1)])
-
-
-def test_c_slice_examples():
-    sl = c_slice(EqLanguage.of(EQ), 2)
-    assert sl.relations[0].tuples == {(1, 1), (2, 2)}
-    sl = c_slice(EqLanguage.of(NEQ3), 2)
-    assert sl.relations[0].tuples == frozenset()
-    sl = c_slice(EqLanguage.of(EVEN_BLOCKS), 2)
-    assert len(sl.relations[0].tuples) == 8
 
 
 def test_preserved_by_collapse_examples():
@@ -57,14 +46,13 @@ def test_collapse_vs_retraction_oracle_arity_3():
 
 
 def test_slice_properties():
-    f = slice_properties(c_slice(EqLanguage.of(EQ), 2))
+    f = slice_properties(EqLanguage.of(EQ), 2)
     assert f.positive_conjunctive and f.connected and f.affine
-    f = slice_properties(c_slice(EqLanguage.of(EVEN_BLOCKS), 2))
+    f = slice_properties(EqLanguage.of(EVEN_BLOCKS), 2)
     assert f.affine and not f.positive_conjunctive
-    f = slice_properties(c_slice(EqLanguage.of(R_AND_EQ_EQ), 3))
+    f = slice_properties(EqLanguage.of(R_AND_EQ_EQ), 3)
     assert f.positive_conjunctive and not f.connected
-    assert slice_properties(c_slice(EqLanguage.of(NEQ3), 2)).trivial
-    assert not SliceRelation("x", 2, frozenset({(1, 1)})).is_trivial(2)
+    assert slice_properties(EqLanguage.of(NEQ3), 2).trivial
 
 
 def test_expansion_named_cases():
